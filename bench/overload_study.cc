@@ -3,8 +3,10 @@
 // Methodology (docs/LOADGEN.md):
 //
 //  1. Calibrate capacity. Run the open-loop generator at a rate far beyond
-//     what one core can sustain. The generator never slows its schedule, so
-//     records pile into its local backlog and the *wire acceptance rate* —
+//     what the consumer can sustain (the checked-in baseline was measured on
+//     a 1-core host; the study also runs unchanged on 4 cores). The
+//     generator never slows its schedule, so records pile into its local
+//     backlog and the *wire acceptance rate* —
 //     report.achieved_rate, records flushed per second of pacing wall time —
 //     degenerates to the consumer's drain rate: the system's capacity with
 //     both processes sharing this machine, which is exactly how the lanes run.
@@ -34,12 +36,13 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/latency_recorder.h"
 #include "src/common/time_util.h"
-#include "src/loadgen/harness.h"
 #include "src/loadgen/load_generator.h"
+#include "src/service/live_service.h"
 
 namespace ts {
 namespace {
@@ -113,15 +116,23 @@ double QuantMs(const LatencyRecorder& r, double q) {
   return r.count() == 0 ? 0.0 : static_cast<double>(r.ValueAtQuantile(q)) / 1e6;
 }
 
+// The consumer every probe and lane runs: the production live service,
+// ingesting from the generator at `upstream_port`. Per-poll batches are
+// bounded so a slow pipeline backpressures the socket.
+LiveServiceOptions ConsumerOptions(const StudyConfig& config,
+                                   uint16_t upstream_port) {
+  LiveServiceOptions options;
+  options.pipeline.workers = config.workers;
+  options.pipeline.inactivity_ns = config.inactivity_ns;
+  options.ingest.port = upstream_port;
+  options.ingest.max_records_per_poll = 4096;
+  return options;
+}
+
 // One capacity probe: offer `rate` under exactly the lane conditions —
 // subscriber attached, same inactivity window — and return the achieved wire
 // rate (records flushed per second of pacing wall time).
 double ProbeRate(const StudyConfig& config, double rate, bool* ok) {
-  HarnessOptions hopts;
-  hopts.workers = config.workers;
-  hopts.inactivity_ns = config.inactivity_ns;
-  ConsumerHarness harness(hopts);
-
   LoadGenOptions lopts;
   lopts.rate_per_s = rate;
   lopts.duration_s = config.calib_seconds;
@@ -130,14 +141,19 @@ double ProbeRate(const StudyConfig& config, double rate, bool* ok) {
   lopts.synth.concurrent_sessions = 512;
   lopts.synth.records_per_session = 20;
   LoadGenerator gen(lopts);
-  if (!gen.Listen() || !harness.Start(gen.port())) {
+  if (!gen.Listen()) {
     *ok = false;
     return 0;
   }
-  gen.SetSubscriber("127.0.0.1", harness.query_port());
+  LiveService service(ConsumerOptions(config, gen.port()));
+  if (!service.Start()) {
+    *ok = false;
+    return 0;
+  }
+  std::thread ingest([&service] { service.Ingest(); });
+  gen.SetSubscriber("127.0.0.1", service.query_port());
   const LoadGenReport report = gen.Run();
-  harness.Join();
-  harness.Stop();
+  ingest.join();
   if (!report.ok || report.achieved_rate <= 0) {
     std::fprintf(stderr, "calibration probe failed: %s\n",
                  report.error.c_str());
@@ -183,16 +199,6 @@ LaneResult RunLane(const StudyConfig& config, double capacity, double factor,
   r.shed = shed;
   r.goal_rate = capacity * factor;
 
-  HarnessOptions hopts;
-  hopts.workers = config.workers;
-  hopts.inactivity_ns = config.inactivity_ns;
-  if (shed) {
-    hopts.shed_policy = ShedPolicy::kOldestOpen;
-    hopts.shed_open_bytes = 8ull << 20;
-    hopts.shed_stall_limit_ms = 20;
-  }
-  ConsumerHarness harness(hopts);
-
   LoadGenOptions lopts;
   lopts.rate_per_s = r.goal_rate;
   lopts.duration_s = config.lane_seconds;
@@ -201,16 +207,29 @@ LaneResult RunLane(const StudyConfig& config, double capacity, double factor,
   lopts.synth.concurrent_sessions = 512;
   lopts.synth.records_per_session = 20;
   LoadGenerator gen(lopts);
-  if (!gen.Listen() || !harness.Start(gen.port())) {
+  if (!gen.Listen()) {
     return r;
   }
-  gen.SetSubscriber("127.0.0.1", harness.query_port());
+  LiveServiceOptions options = ConsumerOptions(config, gen.port());
+  if (shed) {
+    options.pipeline.shed_policy = ShedPolicy::kOldestOpen;
+    options.pipeline.shed_open_bytes = 8ull << 20;
+    options.pipeline.shed_stall_limit_ms = 20;
+  }
+  LiveService service(options);
+  if (!service.Start()) {
+    return r;
+  }
+  bool transport_ok = false;
+  std::thread ingest(
+      [&service, &transport_ok] { transport_ok = service.Ingest(); });
+  gen.SetSubscriber("127.0.0.1", service.query_port());
 
   const int64_t start = SteadyNowNanos();
   const LoadGenReport report = gen.Run();
-  harness.Join();
+  ingest.join();
   r.elapsed_s = static_cast<double>(SteadyNowNanos() - start) / 1e9;
-  const auto acct = harness.GetAccounting();
+  const auto acct = service.GetAccounting();
 
   r.achieved_rate = report.achieved_rate;
   r.p50_close_ms = QuantMs(report.close_latency, 0.50);
@@ -222,18 +241,16 @@ LaneResult RunLane(const StudyConfig& config, double capacity, double factor,
   r.shed_records = acct.shed_records;
   r.shed_lines = acct.shed_lines;
   r.stall_us = static_cast<uint64_t>(
-      harness.pipeline()->backpressure_stall_ns() / 1000);
-  r.transport_ok = report.ok && !harness.transport_failed() &&
-                   acct.parse_failures == 0;
+      service.pipeline().backpressure_stall_ns() / 1000);
+  r.transport_ok = report.ok && transport_ok && acct.parse_failures == 0;
   r.reconciled = acct.Reconciles() &&
                  (shed || (acct.shed_records == 0 && acct.shed_lines == 0));
-  r.watermark_ok = harness.pipeline()->ingest_watermark() > 0;
+  r.watermark_ok = service.pipeline().ingest_watermark() > 0;
   // An overloaded lane must still finish promptly: schedule + inactivity
   // drain + backlog flush, with margin for shared-core scheduling jitter.
   if (shed && r.elapsed_s > 8 * config.lane_seconds + 30) {
     r.transport_ok = false;
   }
-  harness.Stop();
   return r;
 }
 

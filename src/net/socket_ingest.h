@@ -42,7 +42,7 @@ struct SocketIngestOptions {
 
   size_t read_chunk_bytes = 64 << 10;
   size_t max_line_bytes = 1 << 20;
-  // Upper bound on records one PollLines call may emit (0 = unlimited).
+  // Upper bound on records one poll may deliver (0 = unlimited).
   // Bounds the ingest batch a worker must swallow per step; surplus bytes
   // stay in the kernel buffer and backpressure the server via TCP flow
   // control.
@@ -65,7 +65,7 @@ struct SocketIngestOptions {
 class SocketIngestSource {
  public:
   enum class Poll {
-    kRecords,      // *lines gained at least one record.
+    kRecords,      // At least one record was delivered.
     kIdle,         // Nothing arrived within the timeout (or still backing off).
     kEndOfStream,  // Graceful #EOS received and every record delivered.
     kFailed,       // Attempt limit exhausted; the source is dead.
@@ -77,20 +77,20 @@ class SocketIngestSource {
   SocketIngestSource& operator=(const SocketIngestSource&) = delete;
 
   // Pulls whatever is available, waiting up to timeout_ms for the first byte.
-  // Appends complete wire lines (control lines filtered out) to *lines.
-  Poll PollLines(std::vector<std::string>* lines, int timeout_ms);
-
-  // Zero-copy variant: recv()s straight into a source-owned arena and fills
-  // `block` with line views into it (control and blank lines filtered, so
-  // records_received() advances exactly as under PollLines — the resume
-  // offset must not depend on which poll API the caller uses). The arena is
-  // shared with the block by reference and rotated between calls once it
-  // passes arena_rotate_bytes, so holding a block alive pins at most one
-  // rotation's worth of recv bytes. Sets block->connection_reset when the
+  // recv()s straight into a source-owned arena and fills `block` with views
+  // of the complete wire lines in it (control and blank lines filtered). The
+  // arena is shared with the block by reference and rotated between calls
+  // once it passes arena_rotate_bytes, so holding a block alive pins at most
+  // one rotation's worth of recv bytes. Sets block->connection_reset when the
   // source reconnected since the previous block — the consumer's
   // per-connection dictionaries must reset (docs/INGEST.md). `block` is
   // cleared first; any previous views in it must already be drained.
   Poll PollBlock(LineBlock* block, int timeout_ms);
+
+  // Copy-out wrapper over PollBlock: appends the block's lines to *lines as
+  // owned strings. Same recv loop, so records_received() advances exactly
+  // as under PollBlock.
+  Poll PollLines(std::vector<std::string>* lines, int timeout_ms);
 
   // Convenience: blocks until end of stream, appending everything to *lines.
   // Returns true on a graceful end, false if the source failed permanently.
@@ -111,7 +111,7 @@ class SocketIngestSource {
   State state_ = State::kDisconnected;
   FdGuard fd_;
   LineFramer framer_;
-  ArenaRef arena_;  // PollBlock recv target; rotated at arena_rotate_bytes.
+  ArenaRef arena_;  // recv target; rotated at arena_rotate_bytes.
   // Sticky until the next PollBlock returns it: a reconnect happened, so
   // per-connection consumer state is stale.
   bool connection_reset_pending_ = false;

@@ -122,8 +122,16 @@ bool QueryServer::HandleReadable(Connection* conn) {
     CloseConnection(conn->fd.get());  // Peer closed or reset.
     return false;
   }
-  for (const auto& line : lines) {
-    HandleRequest(conn, line);
+  for (size_t i = 0; i < lines.size(); ++i) {
+    // A pipelining client's earlier replies go out before the next request
+    // is staged, so each reply gets the whole per-connection budget the
+    // socket can absorb rather than what its predecessors left over. The
+    // first request needs no flush: the buffer was drained when this batch
+    // was read, or it is blocked and the flush could not help.
+    if (i > 0 && !conn->send.empty() && !FlushConnection(conn)) {
+      return false;
+    }
+    HandleRequest(conn, lines[i]);
   }
   if (!lines.empty()) {
     return FlushConnection(conn);
@@ -149,34 +157,47 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
     return;
   }
 
-  // Appends session blocks within the connection's output budget. The first
-  // block always goes out (a response must make progress even if one session
-  // outweighs the whole budget); once the budget is exceeded the response is
-  // cut short and flagged with #TRUNCATED.
-  auto append_sessions = [&](const std::vector<Session>& sessions) {
-    uint64_t appended = 0;
-    bool truncated = false;
-    std::string block;
-    for (const auto& session : sessions) {
-      block.clear();
-      AppendSessionBlock(session, &block);
-      if (appended > 0 && !conn->send.Fits(block.size())) {
-        truncated = true;
-        break;
-      }
-      conn->send.Append(block);
-      ++appended;
-    }
+  // Appends one session block within the connection's output budget. The
+  // first block always goes out (a response must make progress even if one
+  // session outweighs the whole budget); once the budget is exceeded the
+  // response is cut short — emit returns false from then on — and
+  // reply_sessions flags it with #TRUNCATED before the #OK.
+  uint64_t appended = 0;
+  bool truncated = false;
+  std::string block;
+  auto emit = [&](const Session& session) {
     if (truncated) {
-      conn->send.Append(kTruncatedLine);
-      conn->send.Append('\n');
+      return false;
     }
-    return appended;
+    block.clear();
+    AppendSessionBlock(session, &block);
+    if (appended > 0 && !conn->send.Fits(block.size())) {
+      truncated = true;
+      return false;
+    }
+    conn->send.Append(block);
+    ++appended;
+    return true;
   };
   auto reply_ok = [&](uint64_t count) {
     conn->send.Append(FormatOk(count));
     conn->send.Append('\n');
     queries_.fetch_add(1, std::memory_order_relaxed);
+  };
+  auto reply_sessions = [&] {
+    if (truncated) {
+      conn->send.Append(kTruncatedLine);
+      conn->send.Append('\n');
+    }
+    reply_ok(appended);
+  };
+  auto reply_all = [&](const std::vector<Session>& sessions) {
+    for (const auto& session : sessions) {
+      if (!emit(session)) {
+        break;
+      }
+    }
+    reply_sessions();
   };
 
   switch (request.verb) {
@@ -187,7 +208,6 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
       }
       uint64_t count = 0;
       if (session.has_value()) {
-        std::string block;
         AppendSessionBlock(*session, &block);
         conn->send.Append(block);
         count = 1;
@@ -201,7 +221,7 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
         sessions = MergeTieredFragments(std::move(sessions),
                                         cold_->GetAllFragments(request.id));
       }
-      reply_ok(append_sessions(sessions));
+      reply_all(sessions);
       break;
     }
     case QueryRequest::Verb::kService: {
@@ -209,7 +229,7 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
       const std::vector<Session> hot =
           store_->QueryByService(request.service, limit);
       if (cold_ == nullptr || hot.size() >= limit) {
-        reply_ok(append_sessions(hot));
+        reply_all(hot);
         break;
       }
       // Hot answered fewer than `limit`, so it holds *every* matching hot
@@ -220,27 +240,12 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
       for (const auto& s : hot) {
         hot_keys.emplace(s.id, s.fragment_index);
       }
-      uint64_t appended = 0;
-      bool truncated = false;
-      std::string block;
-      auto emit = [&](const Session& s) {  // False once the budget is spent.
-        block.clear();
-        AppendSessionBlock(s, &block);
-        if (appended > 0 && !conn->send.Fits(block.size())) {
-          truncated = true;
-          return false;
-        }
-        conn->send.Append(block);
-        ++appended;
-        return true;
-      };
-      bool budget_ok = true;
       for (const auto& s : hot) {
-        if (!(budget_ok = emit(s))) {
+        if (!emit(s)) {
           break;
         }
       }
-      if (budget_ok) {
+      if (!truncated) {
         Session cold_session;
         // Over-collect by the hot result count: post-restore a session can
         // sit in both tiers, and every deduped candidate must not cost the
@@ -256,16 +261,12 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
           if (!cold_->Read(cand, &cold_session)) {
             continue;  // Damage degrades to a cold miss.
           }
-          if (!(budget_ok = emit(cold_session))) {
+          if (!emit(cold_session)) {
             break;
           }
         }
       }
-      if (truncated) {
-        conn->send.Append(kTruncatedLine);
-        conn->send.Append('\n');
-      }
-      reply_ok(appended);
+      reply_sessions();
       break;
     }
     case QueryRequest::Verb::kRange: {
@@ -280,7 +281,7 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
             cold_->CollectRange(request.lo, request.hi, limit + hot.size());
       }
       if (cold_candidates.empty()) {
-        reply_ok(append_sessions(hot));
+        reply_all(hot);
         break;
       }
       // Merge cold candidates (start-ordered, eviction order on ties) with
@@ -296,25 +297,10 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
         hot_keys.emplace(s.id, s.fragment_index);
         hot_min_times.push_back(s.MinTime());
       }
-      uint64_t appended = 0;
-      bool truncated = false;
-      std::string block;
-      auto emit = [&](const Session& s) {  // False once the budget is spent.
-        block.clear();
-        AppendSessionBlock(s, &block);
-        if (appended > 0 && !conn->send.Fits(block.size())) {
-          truncated = true;
-          return false;
-        }
-        conn->send.Append(block);
-        ++appended;
-        return true;
-      };
       size_t h = 0;
       size_t c = 0;
       Session cold_session;
-      bool budget_ok = true;
-      while (budget_ok && appended < limit &&
+      while (!truncated && appended < limit &&
              (h < hot.size() || c < cold_candidates.size())) {
         const bool take_cold =
             c < cold_candidates.size() &&
@@ -328,16 +314,12 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
           if (!cold_->Read(cand, &cold_session)) {
             continue;  // Damage degrades to a cold miss.
           }
-          budget_ok = emit(cold_session);
+          emit(cold_session);
         } else {
-          budget_ok = emit(hot[h++]);
+          emit(hot[h++]);
         }
       }
-      if (truncated) {
-        conn->send.Append(kTruncatedLine);
-        conn->send.Append('\n');
-      }
-      reply_ok(appended);
+      reply_sessions();
       break;
     }
     case QueryRequest::Verb::kStats: {

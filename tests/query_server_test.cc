@@ -538,6 +538,58 @@ TEST(QueryServerWire, OversizedMultiSessionResponseIsTruncated) {
   EXPECT_GE(response.count, 1u);  // A response always makes progress.
 }
 
+// Regression: every request in one read batch used to stage its reply
+// before a single flush, so pipelined replies shared one per-connection
+// budget and later ones came back #TRUNCATED although the socket had room.
+TEST(QueryServerWire, PipelinedRangeRepliesAreNotTruncated) {
+  QueryServerOptions options;
+  options.max_conn_buffer_bytes = 16 << 10;
+  ServerFixture fixture(options);
+  for (int i = 0; i < 20; ++i) {
+    fixture.store->Insert(MakeSession("P" + std::to_string(i), 0,
+                                      kNanosPerMilli, {5}, 0,
+                                      /*payload_bytes=*/200));
+  }
+  // Eight ~5 KiB replies: far more than the budget together, far less than
+  // loopback socket buffers absorb.
+  constexpr int kRequests = 8;
+  std::string batch;
+  for (int i = 0; i < kRequests; ++i) {
+    batch += "RANGE 0 1000000000 20\n";
+  }
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(fixture.server->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::send(fd, batch.data(), batch.size(), 0),
+            static_cast<ssize_t>(batch.size()));
+  std::string response;
+  int oks = 0;
+  char buf[4096];
+  while (oks < kRequests) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "connection lost mid-response";
+    response.append(buf, static_cast<size_t>(n));
+    oks = 0;
+    for (size_t pos = response.find("#OK "); pos != std::string::npos;
+         pos = response.find("#OK ", pos + 1)) {
+      ++oks;
+    }
+  }
+  ::close(fd);
+  EXPECT_EQ(response.find(kTruncatedLine), std::string::npos);
+  size_t pos = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    const std::string ok = FormatOk(20) + "\n";
+    pos = response.find(ok, pos);
+    ASSERT_NE(pos, std::string::npos) << "reply " << i << " is short";
+    pos += ok.size();
+  }
+}
+
 TEST(QueryServerSubscribe, RequestAfterSubscribeIsRejected) {
   ServerFixture fixture;
   auto client = fixture.Client();

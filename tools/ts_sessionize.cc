@@ -75,7 +75,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <map>
@@ -86,23 +85,16 @@
 #include <vector>
 
 #include "src/analytics/dependency_graph.h"
-#include "src/analytics/session_store.h"
-#include "src/ckpt/async_checkpointer.h"
-#include "src/ckpt/checkpointer.h"
-#include "src/ckpt/live_checkpoint.h"
 #include "src/ckpt/snapshot_io.h"
-#include "src/common/metrics_registry.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/fs_fault.h"
 #include "src/fault/scripted_disk_injector.h"
-#include "src/core/live_pipeline.h"
 #include "src/core/trace_tree.h"
 #include "src/log/wire_format.h"
 #include "src/net/net_util.h"
 #include "src/net/socket_ingest.h"
 #include "src/offline/offline_sessionizer.h"
-#include "src/query/query_server.h"
-#include "src/store/cold_tier.h"
+#include "src/service/live_service.h"
 
 namespace {
 
@@ -222,9 +214,9 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
 
-  // Declared before every durability object so it is destroyed last: the
-  // process-global hook may be consulted until the cold tier's spill thread
-  // and the checkpoint writer have joined.
+  // Declared before the service so it is destroyed last: the process-global
+  // hook may be consulted until the cold tier's spill thread and the
+  // checkpoint writer have joined.
   std::unique_ptr<ScriptedDiskInjector> disk_faults;
   {
     const char* plan_path = FlagStr(argc, argv, "--disk-fault-plan");
@@ -252,18 +244,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --serve: stand up the store and the query server before ingesting, so
-  // subscribers attached early see every session close.
+  const EventTime inactivity_ns = static_cast<EventTime>(
+      Flag(argc, argv, "--inactivity_s", 0) * kNanosPerSecond);
+  const size_t top = static_cast<size_t>(Flag(argc, argv, "--top", 10));
+  ReportAccumulator report(HasFlag(argc, argv, "--trees"));
+
   const char* serve_spec = FlagStr(argc, argv, "--serve");
+  const char* connect_spec = FlagStr(argc, argv, "--connect");
   const bool mine_templates = HasFlag(argc, argv, "--mine-templates");
-  // Published once the live pipeline exists; the TEMPLATES source lambda runs
-  // on the query-server thread, so the hand-off must be atomic.
-  std::atomic<LivePipeline*> mining_pipeline{nullptr};
-  std::shared_ptr<SessionStore> store;
-  std::shared_ptr<ColdTier> cold;
-  std::shared_ptr<MetricsRegistry> metrics;
-  std::unique_ptr<QueryServer> server;
-  std::thread server_thread;
   const char* cold_dir = FlagStr(argc, argv, "--cold-dir");
   if (cold_dir != nullptr && serve_spec == nullptr) {
     std::fprintf(stderr, "--cold-dir needs --serve; ignoring\n");
@@ -272,337 +260,130 @@ int main(int argc, char** argv) {
   if (mine_templates && serve_spec == nullptr) {
     std::fprintf(stderr, "--mine-templates needs --connect --serve; ignoring\n");
   }
+
+  LiveServiceOptions options;
   if (serve_spec != nullptr) {
-    SessionStore::Options store_options;
-    store_options.max_bytes =
+    options.pipeline.mine_templates = mine_templates;
+    options.store.max_bytes =
         static_cast<size_t>(Flag(argc, argv, "--store_mb", 256)) << 20;
-    store = std::make_shared<SessionStore>(store_options);
-    metrics = std::make_shared<MetricsRegistry>();
-    if (disk_faults != nullptr) {
-      disk_faults->RegisterMetrics(metrics.get());
-    }
-    QueryServerOptions server_options;
     if (std::strchr(serve_spec, ':') != nullptr) {
-      if (!ParseHostPort(serve_spec, &server_options.host,
-                         &server_options.port)) {
+      if (!ParseHostPort(serve_spec, &options.server.host,
+                         &options.server.port)) {
         std::fprintf(stderr, "bad --serve spec %s\n", serve_spec);
         return 1;
       }
     } else {
-      server_options.port = static_cast<uint16_t>(std::atoi(serve_spec));
+      options.server.port = static_cast<uint16_t>(std::atoi(serve_spec));
     }
-    server = std::make_unique<QueryServer>(server_options, store, metrics);
     if (cold_dir != nullptr) {
-      ColdTierOptions cold_options;
-      cold_options.dir = cold_dir;
-      cold_options.segment_target_bytes =
+      options.cold.emplace();
+      options.cold->dir = cold_dir;
+      options.cold->segment_target_bytes =
           static_cast<size_t>(Flag(argc, argv, "--cold_segment_mb", 4)) << 20;
-      cold = std::make_shared<ColdTier>(cold_options);
-      if (!cold->Start()) {
-        std::fprintf(stderr, "cannot use cold dir %s\n", cold_dir);
-        return 1;
+    }
+  }
+  if (connect_spec != nullptr) {
+    if (!ParseHostPort(connect_spec, &options.ingest.host,
+                       &options.ingest.port)) {
+      std::fprintf(stderr, "bad --connect spec %s (want host:port)\n",
+                   connect_spec);
+      return 1;
+    }
+    options.ingest.stream =
+        static_cast<size_t>(Flag(argc, argv, "--stream", 0));
+    options.ingest.num_streams =
+        static_cast<size_t>(Flag(argc, argv, "--streams", 1));
+    // Bound the batch one poll may deliver so a stalled shard queue
+    // back-pressures the server via TCP instead of ballooning the block.
+    options.ingest.max_records_per_poll = 16 << 10;
+    if (const char* dir = FlagStr(argc, argv, "--checkpoint-dir")) {
+      if (serve_spec == nullptr) {
+        std::fprintf(stderr,
+                     "--checkpoint-dir needs --serve (live path); ignoring\n");
+      } else {
+        options.checkpoint.emplace();
+        options.checkpoint->dir = dir;
+        options.checkpoint->retain =
+            static_cast<size_t>(Flag(argc, argv, "--ckpt_retain", 3));
+        options.checkpoint->interval_ms = static_cast<int64_t>(
+            Flag(argc, argv, "--ckpt_interval_s", 2.0) * 1000);
       }
-      store->SetEvictionSink(
-          [cold](Session&& s) { cold->Append(std::move(s)); },
-          [cold] { cold->WaitForSpace(); });
-      server->SetColdTier(cold);
-      const auto cold_stats = cold->stats();
-      std::fprintf(stderr,
-                   "cold tier: %s (%llu segment(s), %llu session(s) "
-                   "re-discovered)\n",
-                   cold_dir,
-                   static_cast<unsigned long long>(cold_stats.segments),
-                   static_cast<unsigned long long>(cold_stats.sessions));
     }
-    if (mine_templates) {
-      // Installed before Start(); returns the mined dictionary ranked later
-      // by the server. ppm = hits per million mined payloads (every payload
-      // hits exactly one template, so the snapshot's hits sum to the total).
-      server->SetTemplateSource([&mining_pipeline] {
-        std::vector<TemplateCount> out;
-        LivePipeline* pipe = mining_pipeline.load(std::memory_order_acquire);
-        if (pipe == nullptr) {
-          return out;
-        }
-        const auto snapshot = pipe->TemplateSnapshot();
-        uint64_t total = 0;
-        for (const auto& info : snapshot) {
-          total += info.hits;
-        }
-        out.reserve(snapshot.size());
-        for (const auto& info : snapshot) {
-          out.push_back({info.id, info.hits,
-                         total > 0 ? info.hits * 1'000'000 / total : 0,
-                         info.text});
-        }
-        return out;
-      });
+  }
+  const bool live = serve_spec != nullptr && connect_spec != nullptr;
+  if (live) {
+    // Live path: parse + sessionize sharded across --workers threads,
+    // hash-partitioned by session id; sessions close incrementally as the
+    // watermark advances and are inserted into the store the moment they
+    // close. Inactivity defaults to 5s here — a watermark close needs a
+    // window.
+    const unsigned hw = std::thread::hardware_concurrency();
+    LivePipelineOptions& pipe_options = options.pipeline;
+    pipe_options.workers = static_cast<size_t>(
+        Flag(argc, argv, "--workers", hw > 0 ? hw : 1));
+    pipe_options.inactivity_ns =
+        inactivity_ns > 0 ? inactivity_ns : 5 * kNanosPerSecond;
+    if (const char* policy = FlagStr(argc, argv, "--shed-policy")) {
+      if (std::string_view(policy) == "oldest-open") {
+        pipe_options.shed_policy = ShedPolicy::kOldestOpen;
+        pipe_options.shed_open_bytes = static_cast<size_t>(
+            Flag(argc, argv, "--shed_open_mb", 32)) << 20;
+        pipe_options.shed_stall_limit_ms = static_cast<int64_t>(
+            Flag(argc, argv, "--shed_stall_ms", 100));
+        std::fprintf(stderr,
+                     "load shedding: oldest-open (open budget %zu MiB/shard,"
+                     " stall limit %lld ms) — output is no longer"
+                     " byte-identical across runs under overload\n",
+                     pipe_options.shed_open_bytes >> 20,
+                     static_cast<long long>(pipe_options.shed_stall_limit_ms));
+      } else if (std::string_view(policy) != "none") {
+        std::fprintf(stderr, "unknown --shed-policy=%s (none|oldest-open)\n",
+                     policy);
+        return 2;
+      }
     }
-    if (!server->Start()) {
-      std::fprintf(stderr, "cannot serve on %s\n", serve_spec);
+  }
+  options.on_session = [&report](const Session& s) { report.Add(s); };
+
+  // --serve: stand up the store and the query server before ingesting, so
+  // subscribers attached early see every session close.
+  std::unique_ptr<LiveService> service;
+  if (serve_spec != nullptr) {
+    service = std::make_unique<LiveService>(options);
+    if (disk_faults != nullptr) {
+      disk_faults->RegisterMetrics(service->metrics());
+    }
+    const bool started = service->Start();
+    for (const auto& note : service->TakeNotes()) {
+      std::fprintf(stderr, "%s\n", note.c_str());
+    }
+    if (!started) {
       return 1;
     }
     std::fprintf(stderr, "query server listening on %s:%u\n",
-                 server_options.host.c_str(), server->port());
-    server_thread = std::thread([&server] { server->Run(); });
+                 options.server.host.c_str(), service->query_port());
   }
-
-  const EventTime inactivity_ns = static_cast<EventTime>(
-      Flag(argc, argv, "--inactivity_s", 0) * kNanosPerSecond);
-  const size_t top = static_cast<size_t>(Flag(argc, argv, "--top", 10));
-  ReportAccumulator report(HasFlag(argc, argv, "--trees"));
 
   std::vector<LogRecord> records;
   size_t record_count = 0;
   uint64_t parse_failures = 0;
-  bool transport_failed = false;
   bool sessions_ready = false;  // Live path feeds `report` itself.
-  // Outlive the ingest loop: the query server samples their gauges until
-  // exit. Declaration order is destruction order in reverse — async_ckpt
-  // (whose writer thread uses both) must die before ckpt and pipeline.
-  std::unique_ptr<LivePipeline> pipeline;
-  std::unique_ptr<Checkpointer> ckpt;
-  std::unique_ptr<AsyncCheckpointer> async_ckpt;
 
-  if (const char* spec = FlagStr(argc, argv, "--connect")) {
-    SocketIngestOptions options;
-    if (!ParseHostPort(spec, &options.host, &options.port)) {
-      std::fprintf(stderr, "bad --connect spec %s (want host:port)\n", spec);
-      return 1;
-    }
-    options.stream = static_cast<size_t>(Flag(argc, argv, "--stream", 0));
-    options.num_streams = static_cast<size_t>(Flag(argc, argv, "--streams", 1));
-    // Bound the batch one poll may deliver so a stalled shard queue
-    // back-pressures the server via TCP instead of ballooning `lines`.
-    options.max_records_per_poll = 16 << 10;
-
-    // --checkpoint-dir: restore the newest valid snapshot before connecting
-    // so the hello's "TS1 <stream> <offset>" resumes exactly where the
-    // snapshot left off.
-    CheckpointState restored;
-    bool did_restore = false;
-    uint64_t base_records = 0;
-    uint64_t base_parse_failures = 0;
-    if (const char* dir = FlagStr(argc, argv, "--checkpoint-dir")) {
-      if (server == nullptr) {
-        std::fprintf(stderr,
-                     "--checkpoint-dir needs --serve (live path); ignoring\n");
-      } else {
-        CheckpointerOptions ckpt_options;
-        ckpt_options.dir = dir;
-        ckpt_options.retain =
-            static_cast<size_t>(Flag(argc, argv, "--ckpt_retain", 3));
-        ckpt_options.interval_ms = static_cast<int64_t>(
-            Flag(argc, argv, "--ckpt_interval_s", 2.0) * 1000);
-        ckpt = std::make_unique<Checkpointer>(ckpt_options);
-        RestoreResult rr = ckpt->RestoreLatest(&restored);
-        if (rr.restored &&
-            restored.stream != static_cast<uint64_t>(options.stream)) {
-          std::fprintf(stderr,
-                       "checkpoint %s is for stream %llu, not %zu; "
-                       "starting cold\n",
-                       rr.path.c_str(),
-                       static_cast<unsigned long long>(restored.stream),
-                       options.stream);
-          restored = CheckpointState{};
-          rr.restored = false;
-        }
-        if (rr.restored) {
-          did_restore = true;
-          base_records = restored.records;
-          base_parse_failures = restored.parse_failures;
-          options.resume_offset = restored.resume_offset;
-          std::fprintf(
-              stderr,
-              "restored %s: resume offset %llu, %zu open fragment(s), "
-              "%zu stored session(s)%s\n",
-              rr.path.c_str(),
-              static_cast<unsigned long long>(restored.resume_offset),
-              restored.closers.open.size(), restored.store_sessions.size(),
-              rr.fallbacks > 0 ? " (damaged snapshot(s) skipped)" : "");
-        } else if (rr.fallbacks > 0) {
-          std::fprintf(stderr,
-                       "no valid checkpoint in %s (%llu damaged); "
-                       "starting cold\n",
-                       dir, static_cast<unsigned long long>(rr.fallbacks));
-        }
-        ckpt->RegisterMetrics(metrics.get());
+  if (connect_spec != nullptr) {
+    bool transport_failed = false;
+    std::unique_ptr<SocketIngestSource> offline_source;
+    if (live) {
+      transport_failed = !service->Ingest([] { return g_stop != 0; });
+      for (const auto& note : service->TakeNotes()) {
+        std::fprintf(stderr, "%s\n", note.c_str());
       }
-    }
-
-    SocketIngestSource source(options);
-    if (server != nullptr) {
-      // Live path: parse + sessionize sharded across --workers threads,
-      // hash-partitioned by session id; sessions close incrementally as the
-      // watermark advances and are inserted into the store the moment they
-      // close. Inactivity defaults to 5s here — a watermark close needs a
-      // window.
-      const unsigned hw = std::thread::hardware_concurrency();
-      LivePipelineOptions pipe_options;
-      pipe_options.workers = static_cast<size_t>(
-          Flag(argc, argv, "--workers", hw > 0 ? hw : 1));
-      pipe_options.inactivity_ns =
-          inactivity_ns > 0 ? inactivity_ns : 5 * kNanosPerSecond;
-      pipe_options.mine_templates = mine_templates;
-      if (const char* policy = FlagStr(argc, argv, "--shed-policy")) {
-        if (std::string_view(policy) == "oldest-open") {
-          pipe_options.shed_policy = ShedPolicy::kOldestOpen;
-          pipe_options.shed_open_bytes = static_cast<size_t>(
-              Flag(argc, argv, "--shed_open_mb", 32)) << 20;
-          pipe_options.shed_stall_limit_ms = static_cast<int64_t>(
-              Flag(argc, argv, "--shed_stall_ms", 100));
-          std::fprintf(stderr,
-                       "load shedding: oldest-open (open budget %zu MiB/shard,"
-                       " stall limit %lld ms) — output is no longer"
-                       " byte-identical across runs under overload\n",
-                       pipe_options.shed_open_bytes >> 20,
-                       static_cast<long long>(pipe_options.shed_stall_limit_ms));
-        } else if (std::string_view(policy) != "none") {
-          std::fprintf(stderr, "unknown --shed-policy=%s (none|oldest-open)\n",
-                       policy);
-          return 2;
-        }
-      }
-      const bool dedupe_replay = ckpt != nullptr;
-      pipeline = std::make_unique<LivePipeline>(
-          pipe_options, [&, dedupe_replay](Session&& s) {
-            if (dedupe_replay &&
-                (store->Contains(s.id, s.fragment_index) ||
-                 (cold != nullptr && cold->Contains(s.id, s.fragment_index)))) {
-              // Replay-window dedupe guard: with an exact resume offset this
-              // never fires, but it keeps a stale offset from double-counting.
-              // The cold check covers sessions the pre-crash run had already
-              // evicted and spilled.
-              return;
-            }
-            report.Add(s);
-            store->Insert(std::move(s));
-          });
-      if (did_restore) {
-        // Must precede the first FeedLine/Flush: the restore publishes open
-        // fragments and the snapshot watermark into the shard closers.
-        RestoreLiveCheckpoint(std::move(restored), pipeline.get(),
-                              store.get());
-        store->ForEachSession([&report](const Session& s) { report.Add(s); });
-      }
-      mining_pipeline.store(pipeline.get(), std::memory_order_release);
-      pipeline->RegisterMetrics(metrics.get());
-      // Legacy gauge names, kept stable for operators and the e2e smoke.
-      // With a restored checkpoint they continue from the snapshot's counters
-      // so totals match a crash-free run.
-      LivePipeline* pipe = pipeline.get();
-      metrics->Register("ingest_records", [pipe, base_records] {
-        return static_cast<int64_t>(base_records + pipe->records());
-      });
-      metrics->Register("ingest_parse_failures", [pipe, base_parse_failures] {
-        return static_cast<int64_t>(base_parse_failures +
-                                    pipe->parse_failures());
-      });
-      metrics->Register("sessionize_open_sessions", [pipe] {
-        return static_cast<int64_t>(pipe->open_sessions());
-      });
-      metrics->Register("sessionize_watermark_ms", [pipe] {
-        return static_cast<int64_t>(pipe->watermark() / kNanosPerMilli);
-      });
-      std::fprintf(stderr, "live pipeline: %zu shard worker(s)\n",
-                   pipeline->workers());
-      // Periodic snapshots ride the async two-phase barrier: the poll loop
-      // pays one BeginCheckpoint per due tick, and all O(live state)
-      // serialization + fsync runs on the writer thread while ingest keeps
-      // feeding behind the barrier marker.
-      if (ckpt != nullptr) {
-        AsyncCheckpointer::Options ac_options;
-        ac_options.stream = static_cast<uint64_t>(options.stream);
-        ac_options.base_records = base_records;
-        ac_options.base_parse_failures = base_parse_failures;
-        if (cold != nullptr) {
-          // Durability barrier: every eviction that precedes this snapshot's
-          // barrier must be in a cold segment before the snapshot exists, or
-          // a restore could lose it (the replay window starts at the
-          // snapshot's offset).
-          ColdTier* cold_ptr = cold.get();
-          ac_options.before_write = [cold_ptr] {
-            return cold_ptr->FlushPending();
-          };
-        }
-        async_ckpt = std::make_unique<AsyncCheckpointer>(
-            ckpt.get(), pipeline.get(), store.get(), ac_options);
-        async_ckpt->RegisterMetrics(metrics.get());
-      }
-      // Zero-copy live loop: recv bytes land in the source's arena, PollBlock
-      // hands them over as views, and FeedBlock routes them shard-ward with
-      // no per-line copies (docs/INGEST.md).
-      LineBlock block;
-      bool done = false;
-      while (!done && g_stop == 0) {
-        const auto poll = source.PollBlock(&block, /*timeout_ms=*/200);
-        pipeline->FeedBlock(std::move(block));
-        if (poll == SocketIngestSource::Poll::kEndOfStream) {
-          done = true;
-        } else if (poll == SocketIngestSource::Poll::kFailed) {
-          transport_failed = true;
-          done = true;
-        } else {
-          pipeline->Flush();
-          if (async_ckpt != nullptr) {
-            async_ckpt->MaybeCheckpoint(source.records_received());
-          }
-        }
-      }
-      // Drain the writer before any synchronous capture or Finish(): at most
-      // one barrier may be in flight, and an uncollected ticket would leave
-      // the shard workers paused forever. The object stays alive (idle) so
-      // the degraded-mode gauges it registered keep sampling until exit.
-      if (async_ckpt != nullptr) {
-        async_ckpt->Drain();
-      }
-      if (ckpt != nullptr && !transport_failed) {
-        // Final checkpoint before Finish(): Finish force-closes every open
-        // fragment for the report, and those early closes must not leak into
-        // the snapshot — a restart continues them as open fragments instead.
-        pipeline->Flush();
-        CheckpointState state = CaptureLiveCheckpoint(
-            pipeline.get(), *store, source.records_received(),
-            static_cast<uint64_t>(options.stream));
-        state.records += base_records;
-        state.parse_failures += base_parse_failures;
-        if (cold != nullptr) {
-          // Same barrier as the periodic snapshots — but the final one wants
-          // eventual durability, not the prompt-abort contract: FlushPending
-          // returns false on the FIRST spill write failure so a periodic
-          // snapshot can be dropped, while the spill thread keeps retrying
-          // behind it. Ride those retries out (bounded: each false return is
-          // at least one consumed fault / shed batch, so a finite fault
-          // window always drains).
-          for (int i = 0; i < 100 && !cold->FlushPending(); ++i) {
-          }
-        }
-        // The disk may still be inside a fault window at end of stream (the
-        // periodic writer only ticks while records flow, so nothing after the
-        // last record has proven it healthy). Retry with backoff rather than
-        // silently leaving the directory empty.
-        bool final_ok = ckpt->Write(state);
-        for (int attempt = 0; !final_ok && attempt < 5; ++attempt) {
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(int64_t{100} << attempt));
-          final_ok = ckpt->Write(state);
-        }
-        if (final_ok) {
-          std::fprintf(stderr, "final checkpoint at offset %llu (%s)\n",
-                       static_cast<unsigned long long>(state.resume_offset),
-                       ckpt->dir().c_str());
-        } else {
-          std::fprintf(stderr, "final checkpoint FAILED (%s unwritable)\n",
-                       ckpt->dir().c_str());
-        }
-      }
-      pipeline->Finish();
-      record_count = base_records + pipeline->records();
-      parse_failures = base_parse_failures + pipeline->parse_failures();
+      record_count = service->records();
+      parse_failures = service->parse_failures();
       sessions_ready = true;
     } else {
+      offline_source = std::make_unique<SocketIngestSource>(options.ingest);
       std::vector<std::string> lines;
-      const bool graceful = source.ReadAll(&lines);
+      transport_failed = !offline_source->ReadAll(&lines);
       for (const auto& l : lines) {
         if (l.empty()) {
           continue;  // Blank lines are framing artifacts, not parse failures.
@@ -614,18 +395,15 @@ int main(int argc, char** argv) {
           ++parse_failures;
         }
       }
-      transport_failed = !graceful;
     }
+    const SocketIngestSource& source =
+        live ? service->source() : *offline_source;
     std::fprintf(stderr, "transport: %s\n",
                  source.stats().Snapshot().Format().c_str());
     if (transport_failed) {
       std::fprintf(stderr,
                    "transport failed before end of stream (%llu records in)\n",
                    static_cast<unsigned long long>(source.records_received()));
-      if (server != nullptr) {
-        server->Stop();
-        server_thread.join();
-      }
       return 1;
     }
   } else {
@@ -661,29 +439,28 @@ int main(int argc, char** argv) {
   }
 
   if (!sessions_ready) {
-    OfflineOptions options;
-    options.inactivity_split_ns = inactivity_ns;
+    OfflineOptions offline_options;
+    offline_options.inactivity_split_ns = inactivity_ns;
     record_count = records.size();
-    auto sessions = OfflineSessionizer::Sessionize(std::move(records), options);
+    auto sessions =
+        OfflineSessionizer::Sessionize(std::move(records), offline_options);
     for (auto& s : sessions) {
       report.Add(s);
-      if (store != nullptr) {
-        store->Insert(std::move(s));
+      if (service != nullptr) {
+        service->store()->Insert(std::move(s));
       }
     }
   }
 
   report.Print(record_count, parse_failures, top);
 
-  if (server != nullptr) {
+  if (service != nullptr) {
     std::fflush(stdout);
     std::fprintf(stderr, "serving %zu sessions on port %u (SIGINT to exit)\n",
-                 store->stats().sessions, server->port());
+                 service->store()->stats().sessions, service->query_port());
     while (g_stop == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
-    server->Stop();
-    server_thread.join();
   }
   return 0;
 }
