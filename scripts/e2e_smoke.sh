@@ -526,14 +526,27 @@ if [ "$CRASH" -eq 1 ]; then
   # connection must not end the server before the restart replays the tail.
   "$TOOLS/ts_log_server" --port=0 "${GEN_ARGS[@]}" \
     >"$WORK/ls3.out" 2>"$WORK/ls3.err" &
-  KPORT="$(wait_port_file "$WORK/ls3.out")"
-  [ -n "$KPORT" ] || { echo "FAIL: crash log server reported no port"; exit 1; }
+  LPORT="$(wait_port_file "$WORK/ls3.out")"
+  [ -n "$LPORT" ] || { echo "FAIL: crash log server reported no port"; exit 1; }
+
+  # The bare archive (~17 MB on the wire) drains in well under one 50 ms
+  # snapshot interval, so a kill at the first snapshot would land after the
+  # whole stream. A ts_chaos proxy holding the stream for 3 s halfway through
+  # keeps the ingest mid-stream when the kill lands. The stall fires once:
+  # the proxy counts bytes across connections, so the restart runs free.
+  printf '# ts_fault plan v1\nstall at=8000000 arg=3000\n' >"$WORK/crash.plan"
+  "$TOOLS/ts_chaos" --upstream=127.0.0.1:"$LPORT" --port=0 \
+    --plan="$WORK/crash.plan" >"$WORK/crash_chaos.out" 2>"$WORK/crash_chaos.err" &
+  KPORT="$(wait_port_file "$WORK/crash_chaos.out")"
+  [ -n "$KPORT" ] || {
+    echo "FAIL: crash ts_chaos reported no port"; cat "$WORK/crash_chaos.err"
+    exit 1; }
 
   start_sessionize "$KPORT" crash1 \
     --checkpoint-dir="$CKPT_DIR" --ckpt_interval_s=0.05
 
-  # SIGKILL the instant the first snapshot lands — typically mid-stream, and
-  # never with any chance for a shutdown checkpoint.
+  # SIGKILL the instant the first snapshot lands — mid-stream (checked
+  # below), and never with any chance for a shutdown checkpoint.
   SNAPPED=0
   for _ in $(seq 200); do
     SNAPS="$(stat_gauge "$QPORT" ckpt_snapshots || true)"
@@ -545,6 +558,14 @@ if [ "$CRASH" -eq 1 ]; then
   KILL_RECORDS="$(stat_gauge "$QPORT" ingest_records || true)"
   kill -9 "$SESS_PID" 2>/dev/null || true
   wait "$SESS_PID" 2>/dev/null || true
+  # Only a kill strictly inside the stream exercises the mid-stream resume.
+  [ -n "$KILL_RECORDS" ] && [ "$KILL_RECORDS" -gt 0 ] \
+    && [ "$KILL_RECORDS" -lt "$BASE_RECORDS" ] || {
+    echo "FAIL: kill landed at ${KILL_RECORDS:-?}/$BASE_RECORDS records," \
+         "not mid-stream"
+    tail -20 "$WORK/crash1.err"
+    exit 1
+  }
 
   # Restart against the same directory: it must restore a snapshot, resume
   # the stream at its offset, and converge to exactly the fault-free totals.

@@ -31,6 +31,7 @@ SessionStore::EntryList::iterator SessionStore::InsertLocked(Session session) {
   stats_.bytes += it->bytes;
   ++stats_.sessions;
   ++stats_.inserted;
+  generation_.fetch_add(1, std::memory_order_release);
   return it;
 }
 
@@ -91,6 +92,7 @@ bool SessionStore::EvictIfNeeded() {
     stats_.bytes -= oldest->bytes;
     --stats_.sessions;
     ++stats_.evicted;
+    generation_.fetch_add(1, std::memory_order_release);
     evicted = true;
     Unindex(oldest);
     if (eviction_sink_) {

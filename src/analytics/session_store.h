@@ -8,6 +8,7 @@
 #ifndef SRC_ANALYTICS_SESSION_STORE_H_
 #define SRC_ANALYTICS_SESSION_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -69,6 +70,13 @@ class SessionStore {
   bool Contains(const std::string& id, uint32_t fragment) const;
 
   Stats stats() const;
+
+  // Bumped on every change to the set of stored sessions: each insert
+  // (ImportSnapshot included) and each eviction. Lets a reader memoize what
+  // it derives from the set (the query server's TOPK).
+  uint64_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
 
   // --- Snapshot support (ts_ckpt) ---
 
@@ -157,6 +165,7 @@ class SessionStore {
   // start time -> entry.
   std::multimap<EventTime, EntryList::iterator> by_time_;
   Stats stats_;
+  std::atomic<uint64_t> generation_{0};  // Bumped under mu_.
   uint64_t next_seq_ = 0;
   std::vector<std::pair<uint64_t, InsertObserver>> observers_;
   uint64_t next_observer_token_ = 0;

@@ -29,24 +29,16 @@ void AppendRecords(const std::vector<LogRecord>& records, std::string* payload,
   }
 }
 
-bool ParseRecords(ByteCursor* cursor, std::vector<LogRecord>* records) {
-  uint32_t n = 0;
-  if (!cursor->GetU32(&n)) {
-    return false;
-  }
-  records->reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string_view line;
-    if (!cursor->GetBytes(&line)) {
-      return false;
-    }
+bool ParseRecords(const RecordLines& lines, std::vector<LogRecord>* records) {
+  records->reserve(lines.size());
+  return lines.ForEach([records](std::string_view line) {
     auto parsed = ParseWireFormat(line);
     if (!parsed) {
       return false;  // A record that no longer parses is damage, not input.
     }
     records->push_back(std::move(*parsed));
-  }
-  return true;
+    return true;
+  });
 }
 
 }  // namespace
@@ -179,20 +171,47 @@ std::string EncodeSnapshot(const CheckpointState& state) {
   return head;
 }
 
-bool DecodeStoreFramePayload(std::string_view payload, Session* out) {
+bool RecordLines::Read(ByteCursor* cursor) {
+  const size_t start = cursor->pos;
+  if (!cursor->GetU32(&count_)) {
+    return false;
+  }
+  const size_t lines_start = cursor->pos;
+  std::string_view line;
+  for (uint32_t i = 0; i < count_; ++i) {
+    if (!cursor->GetBytes(&line)) {
+      cursor->pos = start;
+      return false;
+    }
+  }
+  bytes_ = cursor->data.substr(lines_start, cursor->pos - lines_start);
+  return true;
+}
+
+bool StoreFrameView::Parse(std::string_view payload) {
   if (payload.empty() || payload[0] != kTagStore) {
     return false;
   }
   ByteCursor cursor{payload, 1};
-  std::string_view id;
-  if (!cursor.GetBytes(&id) || !cursor.GetU32(&out->fragment_index) ||
-      !cursor.GetU64(&out->first_epoch) || !cursor.GetU64(&out->last_epoch) ||
-      !cursor.GetU64(&out->closed_at) ||
-      !ParseRecords(&cursor, &out->records) || cursor.remaining() != 0) {
-    return false;
-  }
-  out->id = std::string(id);
-  return true;
+  return cursor.GetBytes(&id) && cursor.GetU32(&fragment_index) &&
+         cursor.GetU64(&first_epoch) && cursor.GetU64(&last_epoch) &&
+         cursor.GetU64(&closed_at) && records.Read(&cursor) &&
+         cursor.remaining() == 0;
+}
+
+bool DecodeStoreFrame(const StoreFrameView& view, Session* out) {
+  out->id = std::string(view.id);
+  out->fragment_index = view.fragment_index;
+  out->first_epoch = view.first_epoch;
+  out->last_epoch = view.last_epoch;
+  out->closed_at = view.closed_at;
+  out->records.clear();
+  return ParseRecords(view.records, &out->records);
+}
+
+bool DecodeStoreFramePayload(std::string_view payload, Session* out) {
+  StoreFrameView view;
+  return view.Parse(payload) && DecodeStoreFrame(view, out);
 }
 
 bool DecodeSnapshot(std::string_view bytes, CheckpointState* state) {
@@ -238,9 +257,10 @@ bool DecodeSnapshot(std::string_view bytes, CheckpointState* state) {
         LiveCloserState::OpenFragment fragment;
         std::string_view id;
         uint64_t last_time = 0;
+        RecordLines lines;
         if (!cursor.GetBytes(&id) || !cursor.GetU64(&last_time) ||
-            !ParseRecords(&cursor, &fragment.records) ||
-            cursor.remaining() != 0) {
+            !lines.Read(&cursor) || cursor.remaining() != 0 ||
+            !ParseRecords(lines, &fragment.records)) {
           return false;
         }
         fragment.id = std::string(id);

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "src/analytics/session_store.h"
+#include "src/ckpt/snapshot_io.h"
 #include "src/core/live_pipeline.h"
 #include "src/core/session.h"
 
@@ -119,11 +120,61 @@ void EncodeSnapshotParts(const CheckpointState& state, uint64_t open_count,
 // missing footer, or trailing bytes after it.
 bool DecodeSnapshot(std::string_view bytes, CheckpointState* state);
 
+// A run of length-prefixed record lines as 'O' and 'S' frames carry them:
+// u32 count, then per record a u32 length and its wire-format text.
+class RecordLines {
+ public:
+  // Consumes the count and every line from *cursor. Returns false if any
+  // length runs past the payload, without reading out of bounds.
+  bool Read(ByteCursor* cursor);
+
+  uint32_t size() const { return count_; }
+
+  // Calls fn(std::string_view line) for each line in order; stops and
+  // returns false as soon as fn does.
+  template <typename Fn>
+  bool ForEach(Fn&& fn) const {
+    ByteCursor cursor{bytes_, 0};
+    std::string_view line;
+    for (uint32_t i = 0; i < count_; ++i) {
+      cursor.GetBytes(&line);  // Cannot fail: Read() checked every length.
+      if (!fn(line)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  std::string_view bytes_;  // Exactly the count_ length-prefixed lines.
+  uint32_t count_ = 0;
+};
+
+// Zero-copy view of one 'S' frame payload: the session's header fields and
+// its record lines, all pointing into the payload. The one reader of the 'S'
+// layout: DecodeStoreFramePayload is built on it, and the cold tier
+// (src/store) serves a session's stored lines from it without decoding them.
+struct StoreFrameView {
+  std::string_view id;
+  uint32_t fragment_index = 0;
+  uint64_t first_epoch = 0;
+  uint64_t last_epoch = 0;
+  uint64_t closed_at = 0;
+  RecordLines records;
+
+  // Parses an 'S' payload (tag byte included). Returns false on a wrong tag,
+  // a short header, out-of-bounds record framing or trailing bytes, never
+  // reading out of bounds. The record lines themselves are not parsed.
+  bool Parse(std::string_view payload);
+};
+
+// Decodes every record line of `view` into a Session. Returns false if a
+// line does not parse; *out is unspecified on failure.
+bool DecodeStoreFrame(const StoreFrameView& view, Session* out);
+
 // Decodes one 'S' frame payload (tag byte included) back into a Session —
 // the exact inverse of StoreFrameEncoder::Append's payload. Returns false on
 // any damage without reading out of bounds; *out is unspecified on failure.
-// Exported for the cold tier (src/store), the snapshot container's second
-// consumer: cold segments are sequences of these same frames.
 bool DecodeStoreFramePayload(std::string_view payload, Session* out);
 
 }  // namespace ts

@@ -1,37 +1,16 @@
 #include "src/log/txn_id.h"
 
-#include <charconv>
-
 #include "src/common/status.h"
 
 namespace ts {
 
 std::optional<TxnId> TxnId::Parse(std::string_view s) {
-  if (s.empty()) {
-    return std::nullopt;
-  }
   std::vector<uint32_t> path;
-  size_t start = 0;
-  while (start <= s.size()) {
-    size_t dash = s.find('-', start);
-    if (dash == std::string_view::npos) {
-      dash = s.size();
-    }
-    if (dash == start) {
-      return std::nullopt;  // Empty component ("1--2", leading/trailing dash).
-    }
-    uint32_t value = 0;
-    const char* first = s.data() + start;
-    const char* last = s.data() + dash;
-    auto [ptr, ec] = std::from_chars(first, last, value);
-    if (ec != std::errc() || ptr != last) {
-      return std::nullopt;
-    }
-    path.push_back(value);
-    if (dash == s.size()) {
-      break;
-    }
-    start = dash + 1;
+  if (!ScanTxnComponents(s, [&path](std::string_view, uint32_t value) {
+        path.push_back(value);
+        return true;
+      })) {
+    return std::nullopt;
   }
   return TxnId(std::move(path));
 }

@@ -9,6 +9,7 @@
 #ifndef SRC_LOG_TXN_ID_H_
 #define SRC_LOG_TXN_ID_H_
 
+#include <charconv>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -60,6 +61,40 @@ class TxnId {
  private:
   std::vector<uint32_t> path_;
 };
+
+// Walks the components of "26-3-11-5-1" in order, calling fn(text, value)
+// for each. Returns false on the grammar TxnId::Parse rejects (empty input or
+// component, a non-digit byte, u32 overflow) or as soon as fn returns false.
+// Allocation-free: TxnId::Parse and the canonical-line check
+// (src/log/wire_format.h) both read ids through it.
+template <typename Fn>
+bool ScanTxnComponents(std::string_view s, Fn&& fn) {
+  if (s.empty()) {
+    return false;
+  }
+  size_t start = 0;
+  while (true) {
+    size_t dash = s.find('-', start);
+    if (dash == std::string_view::npos) {
+      dash = s.size();
+    }
+    if (dash == start) {
+      return false;  // Empty component ("1--2", leading/trailing dash).
+    }
+    uint32_t value = 0;
+    const char* first = s.data() + start;
+    const char* last = s.data() + dash;
+    auto [ptr, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc() || ptr != last ||
+        !fn(std::string_view(first, dash - start), value)) {
+      return false;
+    }
+    if (dash == s.size()) {
+      return true;
+    }
+    start = dash + 1;
+  }
+}
 
 // Hash suitable for unordered containers.
 struct TxnIdHash {

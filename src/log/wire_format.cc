@@ -35,6 +35,21 @@ void AppendInt(Int v, std::string* out) {
   out->append(buf, static_cast<size_t>(ptr - buf));
 }
 
+// True when `text` is exactly the decimal AppendInt writes for `v`.
+template <typename Int>
+bool IsCanonicalInt(std::string_view text, Int v) {
+  char buf[24];
+  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  return text == std::string_view(buf, static_cast<size_t>(ptr - buf));
+}
+
+// A `prefix`+u32 field (svc-/h-) that ParsePrefixedU32 accepts and whose
+// number is canonical.
+bool IsCanonicalPrefixedU32(std::string_view field, std::string_view prefix) {
+  const auto v = wire::ParsePrefixedU32(field, prefix);
+  return v && IsCanonicalInt(field.substr(prefix.size()), *v);
+}
+
 }  // namespace
 
 namespace wire {
@@ -135,6 +150,33 @@ std::optional<LogRecord> ParseWireFormat(std::string_view line) {
   record.kind = *kind;
   record.payload = std::string(rest);
   return record;
+}
+
+bool IsCanonicalWireFormat(std::string_view line) {
+  std::string_view rest = line;
+  const auto time_field = NextField(&rest);
+  const auto session_field = NextField(&rest);
+  const auto txn_field = NextField(&rest);
+  const auto svc_field = NextField(&rest);
+  const auto host_field = NextField(&rest);
+  const auto kind_field = NextField(&rest);
+  if (!time_field || !session_field || !txn_field || !svc_field ||
+      !host_field || !kind_field || session_field->empty() ||
+      // AppendWireFormat always writes the payload separator, even before
+      // an empty payload; a line ending at the kind parses but re-encodes
+      // one byte longer.
+      kind_field->data() + kind_field->size() == line.data() + line.size()) {
+    return false;
+  }
+  const auto time = wire::ParseI64(*time_field);
+  return time && IsCanonicalInt(*time_field, *time) &&
+         ScanTxnComponents(*txn_field,
+                           [](std::string_view text, uint32_t value) {
+                             return IsCanonicalInt(text, value);
+                           }) &&
+         IsCanonicalPrefixedU32(*svc_field, "svc-") &&
+         IsCanonicalPrefixedU32(*host_field, "h-") &&
+         wire::ParseKind(*kind_field).has_value();
 }
 
 }  // namespace ts

@@ -27,6 +27,14 @@ std::string ToWireFormat(const LogRecord& record);
 // skips such records, mirroring how a real pipeline tolerates corrupt log lines.
 std::optional<LogRecord> ParseWireFormat(std::string_view line);
 
+// True exactly when AppendWireFormat(*ParseWireFormat(line)) == line: the line
+// parses, and every numeric field is written the way AppendWireFormat writes
+// it (no leading zeros, no "-0", no "svc-01", no "1-02") and the kind is
+// followed by its payload separator. Such a line can be served verbatim in
+// place of a decode + re-encode. Reads the same wire:: field grammars as
+// ParseWireFormat, and allocates nothing.
+bool IsCanonicalWireFormat(std::string_view line);
+
 // Per-field validators, shared between ParseWireFormat and the zero-copy
 // MaterializeRecord path (src/log/record_view.h) so the two can never drift:
 // both accept exactly these field grammars.

@@ -1,7 +1,6 @@
 #include "src/query/query_protocol.h"
 
 #include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -212,29 +211,6 @@ bool ParseQueryRequest(const std::string& line, QueryRequest* request,
   }
   *error = "unknown verb " + verb;
   return false;
-}
-
-void AppendSessionBlock(const Session& session, std::string* out) {
-  char header[160];
-  std::snprintf(header, sizeof(header),
-                "#SESSION %u %" PRIu64 " %" PRIu64 " %" PRIu64 " %zu ",
-                session.fragment_index, session.first_epoch,
-                session.last_epoch, session.closed_at, session.records.size());
-  out->append(header);
-  out->append(session.id);
-  out->push_back('\n');
-  for (const auto& r : session.records) {
-    AppendWireFormat(r, out);
-    out->push_back('\n');
-  }
-  out->append(kSessionEnd);
-  out->push_back('\n');
-}
-
-std::string EncodeSessionBlock(const Session& session) {
-  std::string out;
-  AppendSessionBlock(session, &out);
-  return out;
 }
 
 SessionBlockParser::Result SessionBlockParser::Feed(const std::string& line,

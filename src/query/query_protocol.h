@@ -52,11 +52,10 @@
 #include <vector>
 
 #include "src/core/session.h"
+#include "src/core/session_block.h"
 
 namespace ts {
 
-inline constexpr char kSessionHeaderPrefix[] = "#SESSION ";
-inline constexpr char kSessionEnd[] = "#END";
 inline constexpr char kOkPrefix[] = "#OK";
 inline constexpr char kErrPrefix[] = "#ERR";
 inline constexpr char kSubscribedLine[] = "#SUBSCRIBED";
@@ -110,12 +109,9 @@ std::string FormatTemplateLine(const TemplateCount& entry);
 // Returns nullopt if `line` is not a TMPL line.
 std::optional<TemplateCount> ParseTemplateLine(const std::string& line);
 
-// Serializes `session` as one wire block (header, records, #END), appending
-// to *out, every line '\n'-terminated. This is the canonical serialization:
-// the loopback tests assert that bytes served for a session equal
-// EncodeSessionBlock of the same session read from the store in-process.
-void AppendSessionBlock(const Session& session, std::string* out);
-std::string EncodeSessionBlock(const Session& session);
+// Session blocks (AppendSessionBlock / EncodeSessionBlock and the
+// #SESSION / #END lines) are defined in src/core/session_block.h, which the
+// cold tier shares.
 
 // Incremental decoder for session blocks, fed one framed line at a time
 // (newline already stripped). Lines that are not part of a session block are

@@ -165,12 +165,7 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
   uint64_t appended = 0;
   bool truncated = false;
   std::string block;
-  auto emit = [&](const Session& session) {
-    if (truncated) {
-      return false;
-    }
-    block.clear();
-    AppendSessionBlock(session, &block);
+  auto emit_block = [&] {
     if (appended > 0 && !conn->send.Fits(block.size())) {
       truncated = true;
       return false;
@@ -178,6 +173,24 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
     conn->send.Append(block);
     ++appended;
     return true;
+  };
+  auto emit = [&](const Session& session) {
+    if (truncated) {
+      return false;
+    }
+    block.clear();
+    AppendSessionBlock(session, &block);
+    return emit_block();
+  };
+  // Cold sessions go out as their stored bytes (ColdTier::ReadBlock); the
+  // frame is read only once the block is actually due. A damaged frame
+  // degrades to a cold miss and the response goes on.
+  auto emit_cold = [&](const ColdTier::Candidate& candidate) {
+    if (truncated) {
+      return false;
+    }
+    block.clear();
+    return !cold_->ReadBlock(candidate, &block) || emit_block();
   };
   auto reply_ok = [&](uint64_t count) {
     conn->send.Append(FormatOk(count));
@@ -202,26 +215,33 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
 
   switch (request.verb) {
     case QueryRequest::Verb::kGet: {
-      auto session = store_->GetById(request.id, request.fragment);
-      if (!session.has_value() && cold_ != nullptr) {
-        session = cold_->Get(request.id, request.fragment);  // Cold fallback.
-      }
-      uint64_t count = 0;
+      const auto session = store_->GetById(request.id, request.fragment);
       if (session.has_value()) {
-        AppendSessionBlock(*session, &block);
-        conn->send.Append(block);
-        count = 1;
+        emit(*session);
+      } else if (cold_ != nullptr) {
+        ColdTier::Candidate candidate;  // Cold fallback.
+        candidate.id = request.id;
+        candidate.fragment = request.fragment;
+        emit_cold(candidate);
       }
-      reply_ok(count);
+      reply_ok(appended);
       break;
     }
     case QueryRequest::Verb::kFragments: {
-      std::vector<Session> sessions = store_->GetAllFragments(request.id);
-      if (cold_ != nullptr) {
-        sessions = MergeTieredFragments(std::move(sessions),
-                                        cold_->GetAllFragments(request.id));
-      }
-      reply_all(sessions);
+      const std::vector<Session> hot = store_->GetAllFragments(request.id);
+      ColdTier::Candidate candidate;
+      candidate.id = request.id;
+      const std::vector<uint32_t> cold_fragments =
+          cold_ != nullptr ? cold_->Fragments(request.id)
+                           : std::vector<uint32_t>{};
+      VisitTieredFragments(
+          FragmentIndices(hot), cold_fragments,
+          [&](size_t h) { return emit(hot[h]); },
+          [&](size_t c) {
+            candidate.fragment = cold_fragments[c];
+            return emit_cold(candidate);
+          });
+      reply_sessions();
       break;
     }
     case QueryRequest::Verb::kService: {
@@ -246,7 +266,6 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
         }
       }
       if (!truncated) {
-        Session cold_session;
         // Over-collect by the hot result count: post-restore a session can
         // sit in both tiers, and every deduped candidate must not cost the
         // reply a slot it could have filled from deeper in the cold index.
@@ -258,10 +277,7 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
           if (hot_keys.count({cand.id, cand.fragment}) != 0) {
             continue;
           }
-          if (!cold_->Read(cand, &cold_session)) {
-            continue;  // Damage degrades to a cold miss.
-          }
-          if (!emit(cold_session)) {
+          if (!emit_cold(cand)) {
             break;
           }
         }
@@ -299,7 +315,6 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
       }
       size_t h = 0;
       size_t c = 0;
-      Session cold_session;
       while (!truncated && appended < limit &&
              (h < hot.size() || c < cold_candidates.size())) {
         const bool take_cold =
@@ -311,10 +326,7 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
           if (hot_keys.count({cand.id, cand.fragment}) != 0) {
             continue;  // Post-restore overlap: the hot copy already went out.
           }
-          if (!cold_->Read(cand, &cold_session)) {
-            continue;  // Damage degrades to a cold miss.
-          }
-          emit(cold_session);
+          emit_cold(cand);
         } else {
           emit(hot[h++]);
         }
@@ -335,49 +347,10 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
           top.emplace_back(service, count);
         }
       } else {
-        // Merge the live counts with the cold tier's per-segment summaries
-        // (no frame reads), then re-rank — TOPK covers all history.
-        std::map<uint32_t, uint64_t> counts;
-        for (const auto& [service, count] :
-             store_->TopServices(std::numeric_limits<size_t>::max())) {
-          counts[service] += count;
-        }
-        for (const auto& [service, count] : cold_->ServiceCounts()) {
-          counts[service] += count;
-        }
-        if (cold_->stats().sessions > 0) {
-          // Post-restore a session can sit in both tiers (the snapshot
-          // restored it hot, a pre-crash flush already made it durable cold);
-          // both sums above counted it, so subtract the overlap once — the
-          // unbounded reference holds each session exactly once.
-          std::vector<uint32_t> services;
-          store_->ForEachSession([&](const Session& s) {
-            if (!cold_->Contains(s.id, s.fragment_index)) {
-              return;
-            }
-            services.clear();
-            for (const auto& r : s.records) {
-              services.push_back(r.service);
-            }
-            std::sort(services.begin(), services.end());
-            services.erase(std::unique(services.begin(), services.end()),
-                           services.end());
-            for (uint32_t service : services) {
-              const auto it = counts.find(service);
-              if (it != counts.end() && --it->second == 0) {
-                counts.erase(it);
-              }
-            }
-          });
-        }
-        top.assign(counts.begin(), counts.end());
-        const size_t keep = std::min(request.k, top.size());
-        std::partial_sort(top.begin(), top.begin() + static_cast<ptrdiff_t>(keep),
-                          top.end(), [](const auto& a, const auto& b) {
-                            return a.second > b.second ||
-                                   (a.second == b.second && a.first < b.first);
-                          });
-        top.resize(keep);
+        const auto& ranked = TieredServiceRanking();
+        top.assign(ranked.begin(),
+                   ranked.begin() + static_cast<ptrdiff_t>(
+                                        std::min(request.k, ranked.size())));
       }
       for (const auto& [service, count] : top) {
         conn->send.Append("TOP " + std::to_string(service) + " " +
@@ -421,6 +394,64 @@ void QueryServer::HandleRequest(Connection* conn, const std::string& line) {
       conn->send.Append('\n');
       break;
   }
+}
+
+const std::vector<std::pair<uint32_t, uint64_t>>&
+QueryServer::TieredServiceRanking() {
+  // Read both generations before the counts: a change that lands while they
+  // are summed leaves the memo keyed older than its contents, so the next
+  // request recomputes rather than serving a stale answer.
+  const uint64_t store_generation = store_->generation();
+  const uint64_t cold_generation = cold_->generation();
+  if (topk_memo_.valid && topk_memo_.store_generation == store_generation &&
+      topk_memo_.cold_generation == cold_generation) {
+    return topk_memo_.ranked;
+  }
+  // Merge the live counts with the cold tier's per-segment summaries (no
+  // frame reads) — TOPK covers all history.
+  std::map<uint32_t, uint64_t> counts;
+  for (const auto& [service, count] :
+       store_->TopServices(std::numeric_limits<size_t>::max())) {
+    counts[service] += count;
+  }
+  for (const auto& [service, count] : cold_->ServiceCounts()) {
+    counts[service] += count;
+  }
+  if (cold_->stats().sessions > 0) {
+    // Post-restore a session can sit in both tiers (the snapshot restored it
+    // hot, a pre-crash flush already made it durable cold); both sums above
+    // counted it, so subtract the overlap once — the unbounded reference
+    // holds each session exactly once.
+    std::vector<uint32_t> services;
+    store_->ForEachSession([&](const Session& s) {
+      if (!cold_->Contains(s.id, s.fragment_index)) {
+        return;
+      }
+      services.clear();
+      for (const auto& r : s.records) {
+        services.push_back(r.service);
+      }
+      std::sort(services.begin(), services.end());
+      services.erase(std::unique(services.begin(), services.end()),
+                     services.end());
+      for (uint32_t service : services) {
+        const auto it = counts.find(service);
+        if (it != counts.end() && --it->second == 0) {
+          counts.erase(it);
+        }
+      }
+    });
+  }
+  topk_memo_.ranked.assign(counts.begin(), counts.end());
+  std::sort(topk_memo_.ranked.begin(), topk_memo_.ranked.end(),
+            [](const auto& a, const auto& b) {
+              return a.second > b.second ||
+                     (a.second == b.second && a.first < b.first);
+            });
+  topk_memo_.store_generation = store_generation;
+  topk_memo_.cold_generation = cold_generation;
+  topk_memo_.valid = true;
+  return topk_memo_.ranked;
 }
 
 void QueryServer::AppendStats(Connection* conn, uint64_t* lines) {

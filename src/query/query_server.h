@@ -146,6 +146,11 @@ class QueryServer {
   bool HandleReadable(Connection* conn);
   void HandleRequest(Connection* conn, const std::string& line);
   void AppendStats(Connection* conn, uint64_t* lines);
+  // Every service by hot ∪ cold session count, ranked as TOPK answers
+  // (count descending, ties to the lower id). Memoized on the store's and
+  // the cold tier's mutation generations: re-deriving the hot ∩ cold
+  // overlap takes a cold-index lookup per hot session. Loop thread only.
+  const std::vector<std::pair<uint32_t, uint64_t>>& TieredServiceRanking();
   // Fans queued pushes out to subscribers and flushes them.
   void DeliverPending();
   // Emits a pending "#DROPPED n" notice once it fits.
@@ -162,6 +167,13 @@ class QueryServer {
   std::shared_ptr<ColdTier> cold_;  // May be null; set before Start().
   std::shared_ptr<MetricsRegistry> metrics_;
   TemplateSource template_source_;  // Set before Start(); loop thread reads.
+  struct TopkMemo {
+    bool valid = false;
+    uint64_t store_generation = 0;
+    uint64_t cold_generation = 0;
+    std::vector<std::pair<uint32_t, uint64_t>> ranked;
+  };
+  TopkMemo topk_memo_;  // Loop thread only.
   uint16_t port_ = 0;
   FdGuard listen_fd_;
   EventLoop loop_;

@@ -164,17 +164,20 @@ bool WriteColdSegment(const std::string& path,
   return WriteFileAtomic(path, {frames, tail});
 }
 
-bool LoadColdSegmentIndex(const std::string& path, ColdSegmentIndex* index,
-                          size_t* file_bytes) {
+int OpenColdSegment(const std::string& path) {
   if (FsFaultOnOpen(path.c_str(), /*for_write=*/false).kind ==
       FsFaultAction::Kind::kFail) {
+    return -1;
+  }
+  return ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+}
+
+bool LoadColdSegmentIndex(const std::string& path, ColdSegmentIndex* index,
+                          size_t* file_bytes) {
+  FdCloser fd(OpenColdSegment(path));
+  if (fd.get() < 0) {
     return false;
   }
-  const int raw_fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (raw_fd < 0) {
-    return false;
-  }
-  FdCloser fd(raw_fd);
   struct stat st{};
   if (::fstat(fd.get(), &st) != 0 || st.st_size < 0) {
     return false;
@@ -284,30 +287,27 @@ bool LoadColdSegmentIndex(const std::string& path, ColdSegmentIndex* index,
   return true;
 }
 
-bool ReadColdSession(const std::string& path, uint64_t offset, uint32_t length,
-                     Session* out) {
+bool ReadColdFrame(int fd, const std::string& path, uint64_t offset,
+                   uint32_t length, std::string* buf, std::string_view* payload) {
   if (length < kMinFrameBytes || length > kMaxFramePayloadBytes + 8) {
     return false;
   }
-  if (FsFaultOnOpen(path.c_str(), /*for_write=*/false).kind ==
-      FsFaultAction::Kind::kFail) {
+  buf->resize(length);
+  if (!PreadExact(fd, path.c_str(), buf->data(), buf->size(), offset)) {
     return false;
   }
-  const int raw_fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (raw_fd < 0) {
-    return false;
-  }
-  FdCloser fd(raw_fd);
-  std::string buf(length, '\0');
-  if (!PreadExact(fd.get(), path.c_str(), buf.data(), buf.size(), offset)) {
-    return false;
-  }
-  FrameParser parser(buf);
+  FrameParser parser(*buf);
+  return parser.Next(payload) && parser.AtEnd();
+}
+
+bool ReadColdSession(const std::string& path, uint64_t offset, uint32_t length,
+                     Session* out) {
+  FdCloser fd(OpenColdSegment(path));
+  std::string buf;
   std::string_view payload;
-  if (!parser.Next(&payload) || !parser.AtEnd()) {
-    return false;
-  }
-  return DecodeStoreFramePayload(payload, out);
+  return fd.get() >= 0 &&
+         ReadColdFrame(fd.get(), path, offset, length, &buf, &payload) &&
+         DecodeStoreFramePayload(payload, out);
 }
 
 }  // namespace ts

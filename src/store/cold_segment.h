@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -82,8 +83,19 @@ bool WriteColdSegment(const std::string& path,
 bool LoadColdSegmentIndex(const std::string& path, ColdSegmentIndex* index,
                           size_t* file_bytes);
 
-// Reads the single 'S' frame at (offset, length) of `path` with one pread,
-// validates its CRC, and decodes it. Returns false on any damage.
+// Opens a segment read-only through the FsFaultOnOpen hook. Returns the fd
+// (the caller closes it) or -1.
+int OpenColdSegment(const std::string& path);
+
+// preads the single frame at (offset, length) of the open segment `fd` into
+// *buf and validates its length and CRC; *payload then points at the frame's
+// payload inside *buf. Each pread goes through FsFaultOnPread (`path` names
+// the file for the hooks). Returns false on any damage or I/O error.
+bool ReadColdFrame(int fd, const std::string& path, uint64_t offset,
+                   uint32_t length, std::string* buf, std::string_view* payload);
+
+// Opens `path`, reads the single 'S' frame at (offset, length) with one
+// pread, validates its CRC, and decodes it. Returns false on any damage.
 bool ReadColdSession(const std::string& path, uint64_t offset, uint32_t length,
                      Session* out);
 

@@ -11,7 +11,10 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/ckpt/checkpoint.h"
+#include "src/core/session_block.h"
 #include "src/fault/fs_fault.h"
+#include "src/log/wire_format.h"
 
 namespace ts {
 namespace {
@@ -68,7 +71,51 @@ ColdTierOptions ClampOptions(ColdTierOptions options) {
   return options;
 }
 
+// Appends the #SESSION block of a stored frame. When every record line is
+// canonical the lines go out as stored; otherwise the frame is decoded and
+// re-encoded, which is what the verbatim copy would have to equal. False if
+// a line does not parse (damage), leaving *out as it was.
+bool AppendStoredBlock(const StoreFrameView& view, std::string* out) {
+  const size_t mark = out->size();
+  AppendSessionBlockHeader(view.id, view.fragment_index, view.first_epoch,
+                           view.last_epoch, view.closed_at, view.records.size(),
+                           out);
+  if (view.records.ForEach([out](std::string_view line) {
+        if (!IsCanonicalWireFormat(line)) {
+          return false;
+        }
+        out->append(line);
+        out->push_back('\n');
+        return true;
+      })) {
+    AppendSessionBlockEnd(out);
+    return true;
+  }
+  out->resize(mark);
+  Session session;
+  if (!DecodeStoreFrame(view, &session)) {
+    return false;
+  }
+  AppendSessionBlock(session, out);
+  return true;
+}
+
 }  // namespace
+
+struct ColdTier::SegmentHandle {
+  explicit SegmentHandle(std::string segment_path)
+      : path(std::move(segment_path)), fd(OpenColdSegment(path)) {}
+  ~SegmentHandle() {
+    if (fd >= 0) {
+      ::close(fd);
+    }
+  }
+  SegmentHandle(const SegmentHandle&) = delete;
+  SegmentHandle& operator=(const SegmentHandle&) = delete;
+
+  const std::string path;  // For the fault hooks on each pread.
+  const int fd;
+};
 
 ColdTier::ColdTier(const ColdTierOptions& options)
     : options_(ClampOptions(options)) {}
@@ -127,9 +174,10 @@ bool ColdTier::Start() {
     // Never reuse a taken name, even if the file turns out damaged.
     next_segment_seq_ = std::max(next_segment_seq_, seq + 1);
     Segment segment;
-    segment.path = options_.dir + "/" + name;
+    segment.seq = seq;
     size_t file_bytes = 0;
-    if (!LoadColdSegmentIndex(segment.path, &segment.index, &file_bytes)) {
+    if (!LoadColdSegmentIndex(options_.dir + "/" + name, &segment.index,
+                              &file_bytes)) {
       ++corrupt_;  // Damaged segment: skipped, never fatal.
       continue;
     }
@@ -145,6 +193,9 @@ bool ColdTier::Start() {
     next_order_ += segment.index.count;
     disk_bytes_ += file_bytes;
     segments_.push_back(std::move(segment));
+  }
+  if (!segments_.empty()) {
+    generation_.fetch_add(1, std::memory_order_release);
   }
   pending_front_order_ = next_order_;
   started_ = true;
@@ -172,6 +223,7 @@ void ColdTier::Append(Session&& session) {
     ++service_counts_[s];
   }
   by_id_[key] = next_order_++;
+  generation_.fetch_add(1, std::memory_order_release);
   pending_bytes_ += entry.bytes;
   pending_.push_back(std::move(entry));
   ++spilled_;
@@ -221,8 +273,8 @@ void ColdTier::SpillLoop() {
       batch.push_back(pending_[i].session);
     }
     const uint64_t base_order = pending_front_order_;
-    const std::string path =
-        options_.dir + "/" + SegmentFileName(next_segment_seq_);
+    const uint64_t seq = next_segment_seq_;
+    const std::string path = options_.dir + "/" + SegmentFileName(seq);
     lock.unlock();
     ColdSegmentIndex index;
     size_t file_bytes = 0;
@@ -264,6 +316,7 @@ void ColdTier::SpillLoop() {
           pending_.pop_front();
         }
         pending_front_order_ += k;
+        generation_.fetch_add(1, std::memory_order_release);
         ++shed_batches_;
         shed_sessions_ += k;
         shedding_ = true;
@@ -286,7 +339,7 @@ void ColdTier::SpillLoop() {
     consecutive_failures = 0;
     shedding_ = false;  // Disk healed; back to normal spilling.
     Segment segment;
-    segment.path = path;
+    segment.seq = seq;
     segment.base_order = base_order;
     segment.index = std::move(index);
     segments_.push_back(std::move(segment));
@@ -335,6 +388,7 @@ void ColdTier::Abandon() {
     pending_.clear();
     pending_bytes_ = 0;
     next_order_ = pending_front_order_;
+    generation_.fetch_add(1, std::memory_order_release);
   }
   cv_spill_.notify_all();
   cv_state_.notify_all();
@@ -368,8 +422,48 @@ bool ColdTier::Contains(const std::string& id, uint32_t fragment) const {
   return by_id_.count(std::make_pair(id, fragment)) != 0;
 }
 
-bool ColdTier::Read(const Candidate& candidate, Session* out) {
-  std::string path;
+std::shared_ptr<const ColdTier::SegmentHandle> ColdTier::AcquireHandle(
+    uint64_t seq) {
+  std::lock_guard<std::mutex> lock(handles_mu_);
+  ++handle_clock_;
+  for (auto& slot : handles_) {
+    if (slot.seq == seq) {
+      slot.last_use = handle_clock_;
+      return slot.handle;
+    }
+  }
+  auto handle = std::make_shared<const SegmentHandle>(options_.dir + "/" +
+                                                      SegmentFileName(seq));
+  if (handle->fd < 0) {
+    return nullptr;
+  }
+  HandleSlot fresh{seq, handle_clock_, handle};
+  if (handles_.size() < kMaxOpenSegments) {
+    handles_.push_back(std::move(fresh));
+  } else {
+    *std::min_element(handles_.begin(), handles_.end(),
+                      [](const HandleSlot& a, const HandleSlot& b) {
+                        return a.last_use < b.last_use;
+                      }) = std::move(fresh);
+  }
+  return handle;
+}
+
+void ColdTier::DropHandle(uint64_t seq, const SegmentHandle* handle) {
+  std::lock_guard<std::mutex> lock(handles_mu_);
+  for (size_t i = 0; i < handles_.size(); ++i) {
+    if (handles_[i].seq == seq && handles_[i].handle.get() == handle) {
+      handles_[i] = std::move(handles_.back());
+      handles_.pop_back();
+      return;
+    }
+  }
+}
+
+template <typename OnPending, typename OnFrame>
+bool ColdTier::ReadCandidate(const Candidate& candidate,
+                             OnPending&& on_pending, OnFrame&& on_frame) {
+  uint64_t seq = 0;
   uint64_t offset = 0;
   uint32_t length = 0;
   {
@@ -385,18 +479,33 @@ bool ColdTier::Read(const Candidate& candidate, Session* out) {
       // Still pending: serve the in-memory copy. (A candidate collected
       // while pending may resolve from a segment by now, and vice versa —
       // the fresh lookup makes either window race harmless.)
-      *out = pending_[entry_index].session;
+      on_pending(pending_[entry_index].session);
       ++hits_;
       return true;
     }
     const Segment& segment = segments_[static_cast<size_t>(seg)];
     const ColdSegmentEntry& entry = segment.index.entries[entry_index];
-    path = segment.path;
+    seq = segment.seq;
     offset = entry.offset;
     length = entry.length;
   }
-  Session session;
-  bool read_ok = ReadColdSession(path, offset, length, &session);
+  std::string buf;
+  StoreFrameView view;
+  auto attempt = [&] {
+    const auto handle = AcquireHandle(seq);
+    std::string_view payload;
+    if (handle != nullptr &&
+        ReadColdFrame(handle->fd, handle->path, offset, length, &buf,
+                      &payload) &&
+        view.Parse(payload) && on_frame(view)) {
+      return true;
+    }
+    if (handle != nullptr) {
+      DropHandle(seq, handle.get());  // The retry reopens the file.
+    }
+    return false;
+  };
+  bool read_ok = attempt();
   if (!read_ok) {
     // One retry absorbs a transient EIO on the serving path; persistent
     // damage still degrades to a miss below.
@@ -404,20 +513,41 @@ bool ColdTier::Read(const Candidate& candidate, Session* out) {
       std::lock_guard<std::mutex> lock(mu_);
       ++read_retries_;
     }
-    read_ok = ReadColdSession(path, offset, length, &session);
+    read_ok = attempt();
   }
-  if (!read_ok || session.id != candidate.id ||
-      session.fragment_index != candidate.fragment) {
-    std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!read_ok || view.id != candidate.id ||
+      view.fragment_index != candidate.fragment) {
     ++corrupt_;  // Damage degrades to a cold miss, never a wrong answer.
     return false;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++hits_;
+  ++hits_;
+  return true;
+}
+
+bool ColdTier::Read(const Candidate& candidate, Session* out) {
+  Session session;
+  if (!ReadCandidate(
+          candidate, [&](const Session& pending) { session = pending; },
+          [&](const StoreFrameView& view) {
+            return DecodeStoreFrame(view, &session);
+          })) {
+    return false;
   }
   *out = std::move(session);
   return true;
+}
+
+bool ColdTier::ReadBlock(const Candidate& candidate, std::string* out) {
+  const size_t mark = out->size();
+  const bool ok = ReadCandidate(
+      candidate,
+      [&](const Session& pending) { AppendSessionBlock(pending, out); },
+      [&](const StoreFrameView& view) { return AppendStoredBlock(view, out); });
+  if (!ok) {
+    out->resize(mark);
+  }
+  return ok;
 }
 
 std::optional<Session> ColdTier::Get(const std::string& id, uint32_t fragment) {
@@ -431,16 +561,19 @@ std::optional<Session> ColdTier::Get(const std::string& id, uint32_t fragment) {
   return session;
 }
 
-std::vector<Session> ColdTier::GetAllFragments(const std::string& id) {
+std::vector<uint32_t> ColdTier::Fragments(const std::string& id) const {
   std::vector<uint32_t> fragments;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // by_id_ is ordered: fragments of one id are contiguous and ascending.
-    for (auto it = by_id_.lower_bound(std::make_pair(id, 0u));
-         it != by_id_.end() && it->first.first == id; ++it) {
-      fragments.push_back(it->first.second);
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  // by_id_ is ordered: fragments of one id are contiguous and ascending.
+  for (auto it = by_id_.lower_bound(std::make_pair(id, 0u));
+       it != by_id_.end() && it->first.first == id; ++it) {
+    fragments.push_back(it->first.second);
   }
+  return fragments;
+}
+
+std::vector<Session> ColdTier::GetAllFragments(const std::string& id) {
+  const std::vector<uint32_t> fragments = Fragments(id);
   std::vector<Session> out;
   out.reserve(fragments.size());
   Candidate candidate;
@@ -515,8 +648,30 @@ std::vector<ColdTier::Candidate> ColdTier::CollectByService(
   if (limit == 0 || service_counts_.count(service) == 0) {
     return out;
   }
-  std::vector<std::pair<EventTime, uint64_t>> matches;  // (min_time, order)
-  for (const auto& segment : segments_) {
+  // Spill order ascends with position — segments in file order, entries in
+  // file order, pending after every segment — so walking pending back to
+  // front and then segments newest first yields the highest orders first,
+  // and the walk can stop at `limit`.
+  auto take = [&](const std::string& id, uint32_t fragment,
+                  EventTime min_time, uint64_t order) {
+    Candidate candidate;
+    candidate.id = id;
+    candidate.fragment = fragment;
+    candidate.min_time = min_time;
+    candidate.order = order;
+    out.push_back(std::move(candidate));
+    return out.size() < limit;
+  };
+  for (size_t i = pending_.size(); i-- > 0;) {
+    const auto& e = pending_[i];
+    if (std::binary_search(e.services.begin(), e.services.end(), service) &&
+        !take(e.session.id, e.session.fragment_index, e.min_time,
+              pending_front_order_ + i)) {
+      return out;
+    }
+  }
+  for (size_t s = segments_.size(); s-- > 0;) {
+    const Segment& segment = segments_[s];
     if (!std::binary_search(segment.index.service_counts.begin(),
                             segment.index.service_counts.end(),
                             std::make_pair(service, uint64_t{0}),
@@ -525,43 +680,14 @@ std::vector<ColdTier::Candidate> ColdTier::CollectByService(
                             })) {
       continue;  // Footer service summary excludes the whole segment.
     }
-    for (size_t i = 0; i < segment.index.entries.size(); ++i) {
-      const auto& e = segment.index.entries[i];
-      if (std::binary_search(e.services.begin(), e.services.end(), service)) {
-        matches.emplace_back(e.min_time, segment.base_order + i);
+    const auto& entries = segment.index.entries;
+    for (size_t i = entries.size(); i-- > 0;) {
+      const auto& e = entries[i];
+      if (std::binary_search(e.services.begin(), e.services.end(), service) &&
+          !take(e.id, e.fragment, e.min_time, segment.base_order + i)) {
+        return out;
       }
     }
-  }
-  for (size_t i = 0; i < pending_.size(); ++i) {
-    const auto& e = pending_[i];
-    if (std::binary_search(e.services.begin(), e.services.end(), service)) {
-      matches.emplace_back(e.min_time, pending_front_order_ + i);
-    }
-  }
-  // Newest (highest order) first.
-  const size_t keep = std::min(limit, matches.size());
-  std::partial_sort(matches.begin(), matches.begin() + keep, matches.end(),
-                    [](const auto& a, const auto& b) {
-                      return a.second > b.second;
-                    });
-  matches.resize(keep);
-  out.reserve(keep);
-  for (const auto& [min_time, order] : matches) {
-    uint32_t entry_index = 0;
-    const int seg = LocateLocked(order, &entry_index);
-    Candidate candidate;
-    candidate.min_time = min_time;
-    candidate.order = order;
-    if (seg < 0) {
-      candidate.id = pending_[entry_index].session.id;
-      candidate.fragment = pending_[entry_index].session.fragment_index;
-    } else {
-      const auto& e =
-          segments_[static_cast<size_t>(seg)].index.entries[entry_index];
-      candidate.id = e.id;
-      candidate.fragment = e.fragment;
-    }
-    out.push_back(std::move(candidate));
   }
   return out;
 }

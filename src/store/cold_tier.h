@@ -34,6 +34,13 @@
 // session is always in the snapshot's hot window, in a durable segment, or
 // replayable from the log — never lost.
 //
+// Serving. A cold read is one pread + CRC through a bounded cache of open
+// segment handles (kMaxOpenSegments). ReadBlock serves a session as its
+// stored bytes: the frame's record lines are copied verbatim into the
+// #SESSION block when every one is canonical wire format, so nothing is
+// decoded or re-encoded; a frame with any other line falls back to decode +
+// AppendSessionBlock, so every reply is byte-identical to the decode path.
+//
 // Damage tolerance. A segment that fails index validation at Start is
 // skipped (and counted in `corrupt`); a frame that fails its CRC at read
 // time degrades to a cold miss. Neither can crash the server or surface a
@@ -61,11 +68,13 @@
 #ifndef SRC_STORE_COLD_TIER_H_
 #define SRC_STORE_COLD_TIER_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -99,6 +108,12 @@ struct ColdTierOptions {
 
 class ColdTier {
  public:
+  // Open segment handles the tier caches for serving reads, least recently
+  // used evicted first. Segments are never deleted, so a handle per segment
+  // would grow without bound. A handle evicted while a reader is inside its
+  // pread closes when that reader drops it.
+  static constexpr size_t kMaxOpenSegments = 64;
+
   struct Stats {
     uint64_t segments = 0;       // Live (valid) segment files.
     uint64_t sessions = 0;       // Cold sessions, durable + pending.
@@ -119,9 +134,10 @@ class ColdTier {
   };
 
   // A cold index candidate: enough to merge-order and dedupe against hot
-  // results without touching the session frame. Resolve with Read() — only
-  // candidates that actually stream to the client are ever read, which is
-  // what keeps RANGE over a 100k-session tier within its response budget.
+  // results without touching the session frame. Resolve with Read() or
+  // ReadBlock() — only candidates that actually stream to the client are
+  // ever read, which is what keeps RANGE over a 100k-session tier within its
+  // response budget.
   struct Candidate {
     std::string id;
     uint32_t fragment = 0;
@@ -187,6 +203,15 @@ class ColdTier {
   // frame. False on miss (no longer indexed) or damage (counted).
   bool Read(const Candidate& candidate, Session* out);
 
+  // Resolves a candidate straight into its #SESSION block, appended to *out:
+  // byte-identical to AppendSessionBlock of what Read returns, with the same
+  // hit/miss/corrupt accounting. A durable session's stored record lines are
+  // copied verbatim (see "Serving" above). On false *out is unchanged.
+  bool ReadBlock(const Candidate& candidate, std::string* out);
+
+  // Every cold fragment index of `id`, ascending. Index only: no frame read.
+  std::vector<uint32_t> Fragments(const std::string& id) const;
+
   // service -> cold session count, service-ascending (TOPK merge input).
   std::vector<std::pair<uint32_t, uint64_t>> ServiceCounts() const;
 
@@ -196,11 +221,25 @@ class ColdTier {
 
   Stats stats() const;
 
+  // Bumped on every change to the set of cold sessions: an accepted Append,
+  // a shed batch, Abandon, and the segments Start loads. A spill moves
+  // sessions from pending to disk without changing the set, so it does not
+  // bump. Lets a reader memoize what it derives from the set (TOPK).
+  uint64_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
+
  private:
   struct Segment {
-    std::string path;
+    uint64_t seq = 0;         // File name number (SegmentFileName).
     uint64_t base_order = 0;  // Order of entry 0; entry i is base + i.
     ColdSegmentIndex index;
+  };
+  struct SegmentHandle;  // An open read-only fd; closes on destruction.
+  struct HandleSlot {
+    uint64_t seq = 0;
+    uint64_t last_use = 0;
+    std::shared_ptr<const SegmentHandle> handle;
   };
   struct PendingEntry {
     Session session;
@@ -214,6 +253,20 @@ class ColdTier {
   bool WantSpillLocked() const;
   // Locates `order` (mu_ held). Returns segment index, or -1 for pending.
   int LocateLocked(uint64_t order, uint32_t* entry_index) const;
+  // The one cold read path behind Read and ReadBlock: looks the candidate
+  // up, hands a pending entry to on_pending(const Session&) under mu_, or
+  // preads its frame through the handle cache and hands the CRC-checked
+  // StoreFrameView to on_frame, which returns false on damage. A failed
+  // attempt drops the cached handle and retries once on a fresh open.
+  // Counts hits, misses, read retries and corrupt frames.
+  template <typename OnPending, typename OnFrame>
+  bool ReadCandidate(const Candidate& candidate, OnPending&& on_pending,
+                     OnFrame&& on_frame);
+  // The cached handle of segment `seq`, opened (and cached, evicting the
+  // least recently used) on a miss. Null if the open fails.
+  std::shared_ptr<const SegmentHandle> AcquireHandle(uint64_t seq);
+  // Forgets `handle` if it is still the one cached for `seq`.
+  void DropHandle(uint64_t seq, const SegmentHandle* handle);
 
   const ColdTierOptions options_;
 
@@ -248,6 +301,11 @@ class ColdTier {
   uint64_t shed_sessions_ = 0;
   uint64_t shed_bytes_ = 0;
   bool shedding_ = false;
+  std::atomic<uint64_t> generation_{0};  // Bumped under mu_.
+
+  std::mutex handles_mu_;  // Guards handles_ and handle_clock_ only.
+  std::vector<HandleSlot> handles_;  // At most kMaxOpenSegments.
+  uint64_t handle_clock_ = 0;
 
   std::thread spill_thread_;
 };

@@ -12,6 +12,7 @@
 #ifndef SRC_STORE_TIERED_DIGEST_H_
 #define SRC_STORE_TIERED_DIGEST_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -24,27 +25,59 @@
 
 namespace ts {
 
+// The FRAGMENTS merge order over one id's hot and cold fragment indices
+// (each ascending): fragment-ascending, the hot copy preferred when both
+// tiers hold a fragment (the post-restore overlap). Calls on_hot(h) /
+// on_cold(c) with positions in the inputs, in merged order, until one of
+// them returns false. The query server streams FRAGMENTS replies in this
+// order; MergeTieredFragments materializes it.
+template <typename OnHot, typename OnCold>
+void VisitTieredFragments(const std::vector<uint32_t>& hot,
+                          const std::vector<uint32_t>& cold, OnHot&& on_hot,
+                          OnCold&& on_cold) {
+  size_t h = 0, c = 0;
+  while (h < hot.size() || c < cold.size()) {
+    if (h >= hot.size() || (c < cold.size() && cold[c] < hot[h])) {
+      if (!on_cold(c++)) {
+        return;
+      }
+      continue;
+    }
+    if (c < cold.size() && cold[c] == hot[h]) {
+      ++c;  // Overlap after restore: the hot copy wins.
+    }
+    if (!on_hot(h++)) {
+      return;
+    }
+  }
+}
+
+inline std::vector<uint32_t> FragmentIndices(
+    const std::vector<Session>& sessions) {
+  std::vector<uint32_t> indices;
+  indices.reserve(sessions.size());
+  for (const auto& s : sessions) {
+    indices.push_back(s.fragment_index);
+  }
+  return indices;
+}
+
 // Hot and cold fragments of one id, fragment-ascending, hot preferred on a
 // duplicate fragment index. Both inputs are already fragment-ascending.
 inline std::vector<Session> MergeTieredFragments(std::vector<Session> hot,
                                                  std::vector<Session> cold) {
   std::vector<Session> merged;
   merged.reserve(hot.size() + cold.size());
-  size_t h = 0, c = 0;
-  while (h < hot.size() || c < cold.size()) {
-    if (c >= cold.size()) {
-      merged.push_back(std::move(hot[h++]));
-    } else if (h >= hot.size()) {
-      merged.push_back(std::move(cold[c++]));
-    } else if (hot[h].fragment_index <= cold[c].fragment_index) {
-      if (cold[c].fragment_index == hot[h].fragment_index) {
-        ++c;  // Overlap after restore: the hot copy wins.
-      }
-      merged.push_back(std::move(hot[h++]));
-    } else {
-      merged.push_back(std::move(cold[c++]));
-    }
-  }
+  VisitTieredFragments(
+      FragmentIndices(hot), FragmentIndices(cold),
+      [&](size_t h) {
+        merged.push_back(std::move(hot[h]));
+        return true;
+      },
+      [&](size_t c) {
+        merged.push_back(std::move(cold[c]));
+        return true;
+      });
   return merged;
 }
 

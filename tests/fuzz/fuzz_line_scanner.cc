@@ -8,7 +8,10 @@
 //                                 identical to ParseWireFormat;
 //   LineFramer::FeedViews       — identical framed lines / frame errors /
 //                                 pending bytes to LineFramer::Feed when the
-//                                 input is split at a fuzz-chosen point.
+//                                 input is split at a fuzz-chosen point;
+//   IsCanonicalWireFormat       — true exactly when the line parses and
+//                                 re-encodes to itself (the cold tier serves
+//                                 such lines verbatim).
 //
 // Built two ways (tests/fuzz/CMakeLists.txt):
 //   - with Clang + TS_BUILD_FUZZERS=ON: a real libFuzzer binary
@@ -89,6 +92,18 @@ void CheckMaterialize(std::string_view line) {
           "cached/uncached divergence");
 }
 
+void CheckCanonical(std::string_view line) {
+  const std::optional<LogRecord> parsed = ParseWireFormat(line);
+  bool round_trips = false;
+  if (parsed) {
+    std::string again;
+    AppendWireFormat(*parsed, &again);
+    round_trips = again == line;
+  }
+  Require(IsCanonicalWireFormat(line) == round_trips,
+          "IsCanonicalWireFormat != parse + re-encode round trip");
+}
+
 void CheckFramer(std::string_view data, size_t split) {
   LineFramer::Options options;
   options.max_line_bytes = 128;  // Small cap: fuzz hits the oversize path.
@@ -132,6 +147,7 @@ void RunOneInput(const uint8_t* data, size_t size) {
   // parity probe), and as a byte stream split where the first input byte
   // says.
   CheckMaterialize(input);
+  CheckCanonical(input);
   const size_t split = size == 0 ? 0 : data[0] % (size + 1);
   CheckFramer(input, split);
 }

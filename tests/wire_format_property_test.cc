@@ -87,6 +87,35 @@ TEST_P(WireFormatProperty, MutatedLinesNeverCrashParser) {
   EXPECT_LT(accepted, 1500u);
 }
 
+TEST_P(WireFormatProperty, CanonicalCheckMatchesParseReencode) {
+  // IsCanonicalWireFormat(line) must hold exactly when the line parses and
+  // re-encodes to itself. Mutations aim at the numeric fields, where
+  // non-canonical-but-valid spellings (leading zeros, "-0") live.
+  Rng rng(GetParam() ^ 0xC0FFEE);
+  uint64_t canonical = 0;
+  uint64_t valid_non_canonical = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string line = ToWireFormat(RandomRecord(rng));
+    if (i % 4 != 0) {
+      // One inserted digit, dash or separator anywhere, and now and then a
+      // "0" or "-0" in front of the time.
+      static const char kInserts[] = "0-|9";
+      line.insert(rng.NextBelow(line.size() + 1), 1,
+                  kInserts[rng.NextBelow(sizeof(kInserts) - 1)]);
+      if (rng.NextBelow(4) == 0) {
+        line.insert(0, rng.NextBelow(2) == 0 ? "0" : "-0");
+      }
+    }
+    const auto parsed = ParseWireFormat(line);
+    const bool round_trips = parsed && ToWireFormat(*parsed) == line;
+    ASSERT_EQ(IsCanonicalWireFormat(line), round_trips) << line;
+    canonical += round_trips ? 1 : 0;
+    valid_non_canonical += parsed && !round_trips ? 1 : 0;
+  }
+  EXPECT_GE(canonical, 500u);  // Every unmutated line is canonical.
+  EXPECT_GT(valid_non_canonical, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFormatProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13));
 
