@@ -234,16 +234,19 @@ void BM_SocketIngestLoopback(benchmark::State& state) {
     SocketIngestOptions copts;
     copts.port = server.port();
     SocketIngestSource client(copts);
-    std::vector<std::string> lines;
-    lines.reserve(archive->size());
+    LineBlock block;
     state.ResumeTiming();
 
-    client.ReadAll(&lines);
     uint64_t parsed_count = 0;
-    for (const auto& line : lines) {
-      auto parsed = ParseWireFormat(line);
-      parsed_count += parsed.has_value();
-      benchmark::DoNotOptimize(parsed);
+    auto poll = SocketIngestSource::Poll::kIdle;
+    while (poll != SocketIngestSource::Poll::kEndOfStream &&
+           poll != SocketIngestSource::Poll::kFailed) {
+      poll = client.PollBlock(&block, /*timeout_ms=*/200);
+      for (std::string_view line : block.lines) {
+        auto parsed = ParseWireFormat(line);
+        parsed_count += parsed.has_value();
+        benchmark::DoNotOptimize(parsed);
+      }
     }
 
     state.PauseTiming();

@@ -4,7 +4,8 @@
 #   ts_log_server  ->  ts_sessionize --connect --serve  ->  ts_query
 #
 # Asserts a non-empty STATS and a GET wire round trip against the live
-# query server. With --chaos, the same stream then runs a second time
+# query server, and that ts_sessionize --connect without --serve prints the
+# same report as --in over the same archive. With --chaos, the same stream then runs a second time
 # through the ts_chaos fault-injecting proxy (seeded kills + stalls) and
 # the chaos run must converge to exactly the fault-free ingest and store
 # counts — the shell-level version of the fault conformance suite.
@@ -213,7 +214,30 @@ fi
 
 kill -INT "$SESS_PID" 2>/dev/null || true
 wait "$SESS_PID" 2>/dev/null || true
-echo "e2e smoke OK: $COUNT sessions served on loopback; GET $ID round-tripped"
+
+# 5. Offline socket mode: ts_sessionize --connect without --serve parses each
+# received block straight into records, and its report must be byte-identical
+# to --in over the same archive.
+"$TOOLS/ts_trace_gen" --rate=20000 --seconds=3 --seed=11 \
+  --out="$WORK/trace.log" >/dev/null 2>&1
+"$TOOLS/ts_log_server" --port=0 --in="$WORK/trace.log" --once --quiet \
+  >"$WORK/lso.out" 2>"$WORK/lso.err" &
+OPORT="$(wait_port_file "$WORK/lso.out")"
+[ -n "$OPORT" ] || { echo "FAIL: offline log server reported no port"; exit 1; }
+"$TOOLS/ts_sessionize" --connect=127.0.0.1:"$OPORT" --top=5 \
+  >"$WORK/offline_connect.out" 2>"$WORK/offline_connect.err" || {
+  echo "FAIL: ts_sessionize --connect (offline) failed"
+  cat "$WORK/offline_connect.err"; exit 1; }
+"$TOOLS/ts_sessionize" --in="$WORK/trace.log" --top=5 \
+  >"$WORK/offline_in.out" 2>"$WORK/offline_in.err"
+cmp -s "$WORK/offline_in.out" "$WORK/offline_connect.out" || {
+  echo "FAIL: offline --connect report differs from --in"
+  diff "$WORK/offline_in.out" "$WORK/offline_connect.out" | head -10 || true
+  exit 1; }
+[ -s "$WORK/offline_in.out" ] || { echo "FAIL: empty offline report"; exit 1; }
+
+echo "e2e smoke OK: $COUNT sessions served on loopback; GET $ID round-tripped;" \
+  "offline --connect report == --in"
 
 [ "$CHAOS" -eq 1 ] || [ "$CRASH" -eq 1 ] || [ "$TEMPLATES" -eq 1 ] \
   || [ "$LOADGEN" -eq 1 ] || [ "$COLD" -eq 1 ] || [ "$DISKFAULT" -eq 1 ] \

@@ -47,6 +47,9 @@ class Arena {
 
   // Copies `s` into the arena and returns the stable view.
   std::string_view Copy(std::string_view s) {
+    if (s.empty()) {
+      return {};  // A fresh arena has no chunk: memcpy to null is undefined.
+    }
     char* p = Allocate(s.size());
     std::memcpy(p, s.data(), s.size());
     return std::string_view(p, s.size());

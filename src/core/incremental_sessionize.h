@@ -12,6 +12,9 @@
 // O(buffered records). The cost is that every downstream consumer must handle
 // incremental inputs (the paper's stated reason for not making this the
 // default).
+//
+// Role: §3 paper extension. No serving path runs it; it is measured against
+// the batch operator by bench/ablation_incremental_feedback.
 #ifndef SRC_CORE_INCREMENTAL_SESSIONIZE_H_
 #define SRC_CORE_INCREMENTAL_SESSIONIZE_H_
 

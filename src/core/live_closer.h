@@ -13,6 +13,10 @@
 // timing, and of how many shards the stream is partitioned across.
 // CloseExpired/FlushAll only affect *when* an already-determined fragment is
 // emitted, never its contents.
+//
+// Role: production. This is the sessionizer LivePipeline's shards run inside
+// LiveService (ts_sessionize --serve); the timely Sessionize operator and
+// OfflineSessionizer reproduce the paper's figures.
 #ifndef SRC_CORE_LIVE_CLOSER_H_
 #define SRC_CORE_LIVE_CLOSER_H_
 

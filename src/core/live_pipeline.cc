@@ -18,11 +18,11 @@ int64_t SteadyNowNanos() {
       .count();
 }
 
-// Rotate the FeedLine/mining arena once it holds this much line text; old
-// arenas die when the batches referencing them drain.
+// Rotate the mining arena once it holds this much rewritten text; old arenas
+// die when the batches referencing them drain.
 constexpr size_t kFeedArenaRotateBytes = 1 << 20;
 
-// Strips the trailing newline (and any CR/LF run) like FeedLine always has.
+// Strips a trailing newline (and any CR/LF run).
 std::string_view TrimLineEnding(std::string_view line) {
   while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
     line.remove_suffix(1);
@@ -57,20 +57,6 @@ void LivePipeline::RotateFeedArena() {
       feed_arena_->bytes_used() > kFeedArenaRotateBytes) {
     feed_arena_ = std::make_shared<Arena>();
   }
-}
-
-void LivePipeline::FeedLine(std::string line) {
-  const std::string_view trimmed = TrimLineEnding(line);
-  if (trimmed.empty()) {
-    // Framing artifact, not a corrupt record: skipped everywhere, counted
-    // nowhere near parse_failures (see ISSUE: blank-line unification).
-    blank_lines_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // One copy into the ingest arena; from here the bytes flow as views, same
-  // as the FeedBlock path.
-  RotateFeedArena();
-  FeedView(feed_arena_->Copy(trimmed), feed_arena_);
 }
 
 void LivePipeline::FeedBlock(LineBlock&& block) {

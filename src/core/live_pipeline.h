@@ -150,27 +150,24 @@ class LivePipeline {
 
   // --- Ingest-thread API (single producer) ---
 
-  // Feeds one wire-format line (trailing \r already stripped by the framer;
-  // a stray one is tolerated). Blank lines are skipped — they are framing
-  // artifacts, not corrupt records, and must not count as parse failures.
-  // Lines whose time/session-id fields cannot be extracted are still routed
-  // (by a hash of the whole line) so the owning shard counts the parse
-  // failure. Blocks when the target shard's queue is full.
-  //
-  // The bytes are copied once into a pipeline-owned ingest arena and flow as
-  // views from there; FeedBlock is the zero-copy path for callers that
-  // already hold arena-backed lines.
-  void FeedLine(std::string line);
-
-  // Feeds a block of framed lines backed by an ingest arena (the
-  // SocketIngestSource::PollBlock hand-off). Routing, watermarks, blank-line
-  // and parse-failure accounting are identical to feeding each line through
-  // FeedLine — both funnel into the same view path — but the line bytes are
-  // never copied: per-shard batches take references on the block's arena and
-  // release them when they drain. Consumes the block (it is cleared).
+  // Feeds a block of framed lines backed by an ingest arena — the one way
+  // wire text enters the pipeline (SocketIngestSource::PollBlock hands these
+  // over; in-process producers build one with CopyToLineBlock). Blank lines
+  // (after stripping any trailing CR/LF) are skipped: they are framing
+  // artifacts, not corrupt records, and never count as parse failures. Lines
+  // whose time/session-id fields cannot be extracted are still routed (by a
+  // hash of the whole line) so the owning shard counts the parse failure.
+  // The line bytes are never copied: per-shard batches take references on
+  // the block's arena and release them when they drain. A block with
+  // connection_reset set clears the shards' per-connection interners before
+  // its lines. Blocks when the target shard's queue is full. Consumes the
+  // block (it is cleared).
   void FeedBlock(LineBlock&& block);
 
-  // Feeds an already-parsed record (in-process producers).
+  // Feeds an already-parsed record. Together with ParseWireFormat this is
+  // the independent scalar reference the FeedBlock path is checked against
+  // (tests, bench/fig5_live_scaling, perfbench's oracle): it shares no scan,
+  // route-key or arena code with FeedBlock.
   void FeedRecord(LogRecord record);
 
   // Pushes partial batches and broadcasts the current global watermark to
@@ -351,9 +348,9 @@ class LivePipeline {
     EventTime last_tick_watermark = -1;
   };
 
-  // Common ingest step for both Feed paths: `line` (already newline/CR
-  // trimmed, nonempty) is a view into `*arena`. Scans, optionally mines (the
-  // rewritten line is copied into the pipeline's own arena), routes.
+  // One FeedBlock line: `line` (already newline/CR trimmed, nonempty) is a
+  // view into `*arena`. Scans, optionally mines (the rewritten line is copied
+  // into the pipeline's own arena), routes.
   void FeedView(std::string_view line, const ArenaRef& arena);
   void Route(Item item, size_t shard_index, const ArenaRef& arena);
   void SealAndPush(Shard& shard);
@@ -365,8 +362,8 @@ class LivePipeline {
   SessionSink sink_;
   std::vector<std::unique_ptr<Shard>> shards_;
   EventTime ingest_watermark_ = 0;  // Ingest thread only.
-  // Backing storage for FeedLine copies and mined rewrites; rotated so
-  // drained batches can release old bytes. Ingest thread only.
+  // Backing storage for mined rewrites; rotated so drained batches can
+  // release old bytes. Ingest thread only.
   ArenaRef feed_arena_;
   // Mutated on the ingest thread only; the mutex exists for TemplateSnapshot
   // readers (query server) and the gauges.

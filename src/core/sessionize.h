@@ -11,6 +11,10 @@
 //        with first/last activity epochs,
 //   (ii) in-flight sessions              -> `sessions` hash map,
 //   (iii) session IDs that may have expired by an epoch -> `expiry_candidates`.
+//
+// Role: paper reproduction. This timely operator, with OfflineSessionizer as
+// ground truth, is what the figure 4-6 benches measure; the live serving path
+// sessionizes with LiveCloser (src/core/live_closer.h) instead.
 #ifndef SRC_CORE_SESSIONIZE_H_
 #define SRC_CORE_SESSIONIZE_H_
 

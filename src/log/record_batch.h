@@ -8,6 +8,9 @@
 #ifndef SRC_LOG_RECORD_BATCH_H_
 #define SRC_LOG_RECORD_BATCH_H_
 
+#include <memory>
+#include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -33,6 +36,18 @@ struct LineBlock {
     connection_reset = false;
   }
 };
+
+// Copies owned wire lines into a block over a fresh arena: how in-process
+// producers (tests, benches) feed the same FeedBlock path the socket does.
+inline LineBlock CopyToLineBlock(std::span<const std::string> lines) {
+  LineBlock block;
+  block.arena = std::make_shared<Arena>();
+  block.lines.reserve(lines.size());
+  for (const std::string& line : lines) {
+    block.lines.push_back(block.arena->Copy(line));
+  }
+  return block;
+}
 
 }  // namespace ts
 

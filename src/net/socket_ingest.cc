@@ -288,26 +288,4 @@ SocketIngestSource::Poll SocketIngestSource::PollBlock(LineBlock* block,
   }
 }
 
-SocketIngestSource::Poll SocketIngestSource::PollLines(
-    std::vector<std::string>* lines, int timeout_ms) {
-  LineBlock block;
-  const Poll poll = PollBlock(&block, timeout_ms);
-  lines->insert(lines->end(), block.lines.begin(), block.lines.end());
-  return poll;
-}
-
-bool SocketIngestSource::ReadAll(std::vector<std::string>* lines) {
-  while (true) {
-    switch (PollLines(lines, /*timeout_ms=*/200)) {
-      case Poll::kRecords:
-      case Poll::kIdle:
-        break;
-      case Poll::kEndOfStream:
-        return true;
-      case Poll::kFailed:
-        return false;
-    }
-  }
-}
-
 }  // namespace ts

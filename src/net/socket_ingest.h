@@ -87,15 +87,6 @@ class SocketIngestSource {
   // cleared first; any previous views in it must already be drained.
   Poll PollBlock(LineBlock* block, int timeout_ms);
 
-  // Copy-out wrapper over PollBlock: appends the block's lines to *lines as
-  // owned strings. Same recv loop, so records_received() advances exactly
-  // as under PollBlock.
-  Poll PollLines(std::vector<std::string>* lines, int timeout_ms);
-
-  // Convenience: blocks until end of stream, appending everything to *lines.
-  // Returns true on a graceful end, false if the source failed permanently.
-  bool ReadAll(std::vector<std::string>* lines);
-
   uint64_t records_received() const { return records_received_; }
   const TransportStats& stats() const { return stats_; }
 

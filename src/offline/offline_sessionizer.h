@@ -6,6 +6,10 @@
 // accuracy and fragmentation tests: an online run with sufficient slack and
 // inactivity must reconstruct exactly these sessions, and fragmented online
 // output must re-concatenate to them.
+//
+// Role: paper reproduction — the ground truth beside the timely Sessionize
+// operator in the figure 4-6 benches. ts_sessionize without --serve also
+// runs it over a file or a drained stream.
 #ifndef SRC_OFFLINE_OFFLINE_SESSIONIZER_H_
 #define SRC_OFFLINE_OFFLINE_SESSIONIZER_H_
 

@@ -24,8 +24,7 @@ IngestDriver::IngestDriver(ArrivalSource* source, size_t worker,
       input_(input),
       options_(options),
       epoch_mapper_(options.epoch_width_ns),
-      reorder_(ReorderBuffer::Config{options.slack_ns, options.reorder_slot_width_ns}),
-      paced_(source->paced()) {}
+      reorder_(ReorderBuffer::Config{options.slack_ns, options.reorder_slot_width_ns}) {}
 
 void IngestDriver::AttributeCpu(Epoch epoch, int64_t cpu_ns) {
   epochs_[epoch].input_cpu_ns += cpu_ns;
@@ -91,26 +90,18 @@ DriverStatus IngestDriver::Step() {
         ++parse_failures_;
         continue;
       }
-      max_event_ns_ = std::max(max_event_ns_, parsed->time);
       reorder_.Push(std::move(*parsed), &ready_);
     } else {
-      max_event_ns_ = std::max(max_event_ns_, a.record.time);
       reorder_.Push(std::move(a.record), &ready_);
     }
   }
   arrivals_.clear();
-  if (paced_) {
-    // All arrivals below this wall-clock boundary are in; release every record
-    // outside the lateness window.
-    const EventTime arrival_boundary =
-        static_cast<EventTime>(arrival_epoch + 1) * kNanosPerSecond;
-    if (arrival_boundary > options_.slack_ns) {
-      reorder_.FlushUpTo(arrival_boundary - options_.slack_ns, &ready_);
-    }
-  } else if (max_event_ns_ > options_.slack_ns) {
-    // No arrival clock to trust: flush behind the event-time high watermark,
-    // tolerating `slack` of disorder relative to the newest record seen.
-    reorder_.FlushUpTo(max_event_ns_ - options_.slack_ns, &ready_);
+  // All arrivals below this wall-clock boundary are in; release every record
+  // outside the lateness window.
+  const EventTime arrival_boundary =
+      static_cast<EventTime>(arrival_epoch + 1) * kNanosPerSecond;
+  if (arrival_boundary > options_.slack_ns) {
+    reorder_.FlushUpTo(arrival_boundary - options_.slack_ns, &ready_);
   }
   peak_reorder_bytes_ = std::max(peak_reorder_bytes_, reorder_.buffered_bytes());
   Feed(ready_);

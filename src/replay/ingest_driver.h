@@ -42,10 +42,9 @@ class IngestDriver {
     uint64_t records = 0;
   };
 
-  // `source` is any ArrivalSource: the in-memory Replayer or a live
-  // SocketArrivalSource (src/replay/socket_source.h). For unpaced sources the
-  // driver switches from arrival-clock flushing to event-time watermark
-  // flushing (see ArrivalSource::paced()).
+  // `source` paces arrivals into wall-clock epochs (the Replayer): after each
+  // arrival epoch the driver flushes its re-order buffer up to that epoch's
+  // end minus the slack.
   IngestDriver(ArrivalSource* source, size_t worker,
                InputSession<LogRecord> input, const Options& options);
 
@@ -80,8 +79,6 @@ class IngestDriver {
   ProbeHandle gate_probe_;
   bool gated_ = false;
   bool finished_ = false;
-  const bool paced_;
-  EventTime max_event_ns_ = 0;  // Watermark basis for unpaced sources.
   Epoch next_arrival_epoch_ = 0;
   std::vector<Arrival> arrivals_;
   std::vector<LogRecord> ready_;

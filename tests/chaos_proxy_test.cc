@@ -16,6 +16,7 @@
 #include "src/net/log_server.h"
 #include "src/net/socket_ingest.h"
 #include "src/workload/generator.h"
+#include "tests/socket_drain.h"
 
 namespace ts {
 namespace {
@@ -108,7 +109,7 @@ TEST(ChaosProxy, TransparentWithEmptyPlan) {
 
   SocketIngestSource client(ClientOptions(stack.port()));
   std::vector<std::string> received;
-  ASSERT_TRUE(client.ReadAll(&received));
+  ASSERT_TRUE(DrainLines(client, &received));
   EXPECT_EQ(received, *archive);
   EXPECT_EQ(client.stats().Snapshot().reconnects, 0u);
   EXPECT_EQ(stack.proxy().stats().kills, 0u);
@@ -125,7 +126,7 @@ TEST(ChaosProxy, KillMidStreamResumesExactlyOnce) {
 
   SocketIngestSource client(ClientOptions(stack.port()));
   std::vector<std::string> received;
-  ASSERT_TRUE(client.ReadAll(&received));
+  ASSERT_TRUE(DrainLines(client, &received));
   EXPECT_EQ(received, *archive);  // Exactly once through two severings.
   EXPECT_EQ(client.stats().Snapshot().reconnects, 2u);
   EXPECT_EQ(stack.proxy().stats().kills, 2u);
@@ -142,7 +143,7 @@ TEST(ChaosProxy, TruncationDropsBytesThenSeversAndStillConverges) {
 
   SocketIngestSource client(ClientOptions(stack.port()));
   std::vector<std::string> received;
-  ASSERT_TRUE(client.ReadAll(&received));
+  ASSERT_TRUE(DrainLines(client, &received));
   // The dropped bytes never reached the client, so its resume offset points
   // at the first undelivered record and the retransmit closes the gap.
   EXPECT_EQ(received, *archive);
@@ -159,7 +160,7 @@ TEST(ChaosProxy, RefusalWindowDelaysButDoesNotLose) {
 
   SocketIngestSource client(ClientOptions(stack.port()));
   std::vector<std::string> received;
-  ASSERT_TRUE(client.ReadAll(&received));
+  ASSERT_TRUE(DrainLines(client, &received));
   EXPECT_EQ(received, *archive);
   EXPECT_EQ(stack.proxy().stats().refused, 2u);
 }
@@ -174,7 +175,7 @@ TEST(ChaosProxy, CorruptionIsAccountedAndFramePreserving) {
 
   SocketIngestSource client(ClientOptions(stack.port()));
   std::vector<std::string> received;
-  ASSERT_TRUE(client.ReadAll(&received));
+  ASSERT_TRUE(DrainLines(client, &received));
   EXPECT_EQ(stack.proxy().stats().bytes_corrupted, 16u);
   // Corruption may merge adjacent records (a flipped '\n') but can never
   // fabricate new ones, so the count is bounded both ways.
@@ -198,13 +199,13 @@ TEST(ChaosProxy, SeededPlanDrivesRealTrafficDeterministically) {
     ProxiedStack stack(archive, plan);
     ASSERT_TRUE(stack.started());
     SocketIngestSource client(ClientOptions(stack.port()));
-    ASSERT_TRUE(client.ReadAll(&first));
+    ASSERT_TRUE(DrainLines(client, &first));
   }
   {
     ProxiedStack stack(archive, plan);
     ASSERT_TRUE(stack.started());
     SocketIngestSource client(ClientOptions(stack.port()));
-    ASSERT_TRUE(client.ReadAll(&second));
+    ASSERT_TRUE(DrainLines(client, &second));
   }
   EXPECT_EQ(first, *archive);
   EXPECT_EQ(second, *archive);

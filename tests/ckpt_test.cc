@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -489,9 +490,7 @@ DigestRun RunWithHandoff(const std::vector<std::string>& lines, size_t split,
     LivePipeline pipeline_a(options_a, [&store_a](Session&& s) {
       store_a.Insert(std::move(s));
     });
-    for (size_t i = 0; i < split; ++i) {
-      pipeline_a.FeedLine(lines[i]);
-    }
+    pipeline_a.FeedBlock(CopyToLineBlock({lines.data(), split}));
     CheckpointState captured =
         CaptureLiveCheckpoint(&pipeline_a, store_a, split);
     // Round-trip through the wire format, exactly like a real restart.
@@ -526,9 +525,7 @@ DigestRun RunWithHandoff(const std::vector<std::string>& lines, size_t split,
     ++result.sessions;
     ids.insert(s.id);
   });
-  for (size_t i = split; i < lines.size(); ++i) {
-    pipeline_b.FeedLine(lines[i]);
-  }
+  pipeline_b.FeedBlock(CopyToLineBlock(std::span(lines).subspan(split)));
   pipeline_b.Finish();
   result.store_digest = ChainedStoreDigest(store_b, ids);
   return result;
@@ -579,9 +576,7 @@ TEST(CkptRecoveryDeterminism, CheckpointerEndToEndThroughDisk) {
     LivePipeline pipeline(pipe_options,
                           [&store](Session&& s) { store.Insert(std::move(s)); });
     const size_t split = lines.size() / 2;
-    for (size_t i = 0; i < split; ++i) {
-      pipeline.FeedLine(lines[i]);
-    }
+    pipeline.FeedBlock(CopyToLineBlock({lines.data(), split}));
     ASSERT_TRUE(ckpt.Write(CaptureLiveCheckpoint(&pipeline, store, split)));
   }
 
@@ -613,9 +608,8 @@ TEST(CkptRecoveryDeterminism, CheckpointerEndToEndThroughDisk) {
     ++resumed.sessions;
     ids.insert(s.id);
   });
-  for (size_t i = lines.size() / 2; i < lines.size(); ++i) {
-    pipeline.FeedLine(lines[i]);
-  }
+  pipeline.FeedBlock(
+      CopyToLineBlock(std::span(lines).subspan(lines.size() / 2)));
   pipeline.Finish();
   resumed.store_digest = ChainedStoreDigest(store, ids);
 
@@ -673,23 +667,23 @@ TEST(CkptRecoveryDeterminism, AsyncCheckpointerEndToEndThroughDisk) {
                                  AsyncCheckpointer::Options{});
     // Several drained snapshots so the incremental cache advances across
     // snapshots instead of being exercised only once.
-    for (size_t i = 0; i < split; ++i) {
-      pipeline.FeedLine(lines[i]);
-      if ((i + 1) % (split / 3) == 0) {
-        pipeline.Flush();
-        ASSERT_TRUE(async_ckpt.RequestCheckpoint(i + 1));
-        async_ckpt.Drain();
-      }
+    const size_t step = split / 3;
+    size_t fed = 0;
+    for (; fed + step <= split; fed += step) {
+      pipeline.FeedBlock(CopyToLineBlock(std::span(lines).subspan(fed, step)));
+      pipeline.Flush();
+      ASSERT_TRUE(async_ckpt.RequestCheckpoint(fed + step));
+      async_ckpt.Drain();
     }
+    pipeline.FeedBlock(
+        CopyToLineBlock(std::span(lines).subspan(fed, split - fed)));
     ASSERT_TRUE(async_ckpt.RequestCheckpoint(split));
     async_ckpt.Drain();
     EXPECT_GE(ckpt.snapshots_taken(), 4u);
     EXPECT_GT(store.stats().inserted, 0u);  // Store section was non-trivial.
     // The pipeline keeps running past the last snapshot; everything after it
     // is "lost in the crash".
-    for (size_t i = split; i < lines.size(); ++i) {
-      pipeline.FeedLine(lines[i]);
-    }
+    pipeline.FeedBlock(CopyToLineBlock(std::span(lines).subspan(split)));
   }
 
   CheckpointState state;
@@ -713,9 +707,7 @@ TEST(CkptRecoveryDeterminism, AsyncCheckpointerEndToEndThroughDisk) {
       ++resumed.sessions;
       ids.insert(s.id);
     });
-    for (size_t i = split; i < lines.size(); ++i) {
-      pipeline.FeedLine(lines[i]);
-    }
+    pipeline.FeedBlock(CopyToLineBlock(std::span(lines).subspan(split)));
     pipeline.Finish();
     resumed.store_digest = ChainedStoreDigest(store, ids);
   }
@@ -731,9 +723,7 @@ TEST(CkptRecoveryDeterminism, AsyncCheckpointerEndToEndThroughDisk) {
     pipe_options.inactivity_ns = inactivity_ns;
     LivePipeline pipeline(
         pipe_options, run_digests(&store, &reference, &mu, &ids));
-    for (const auto& l : lines) {
-      pipeline.FeedLine(l);
-    }
+    pipeline.FeedBlock(CopyToLineBlock(lines));
     pipeline.Finish();
     reference.store_digest = ChainedStoreDigest(store, ids);
   }
@@ -767,29 +757,29 @@ TEST(CkptRecoveryDeterminism, AsyncCheckpointerCacheTracksEviction) {
                         [&store](Session&& s) { store.Insert(std::move(s)); });
   AsyncCheckpointer async_ckpt(&ckpt, &pipeline, &store,
                                AsyncCheckpointer::Options{});
+  const size_t step = lines.size() / 5;
   size_t fed = 0;
-  for (const auto& l : lines) {
-    pipeline.FeedLine(l);
-    if (++fed % (lines.size() / 5) == 0) {
-      pipeline.Flush();
-      ASSERT_TRUE(async_ckpt.RequestCheckpoint(fed));
-      // Drained and the ingest thread is not feeding: the shards are idle, so
-      // the live store is exactly the barrier-aligned store.
-      async_ckpt.Drain();
+  for (; fed + step <= lines.size(); fed += step) {
+    pipeline.FeedBlock(CopyToLineBlock(std::span(lines).subspan(fed, step)));
+    pipeline.Flush();
+    ASSERT_TRUE(async_ckpt.RequestCheckpoint(fed + step));
+    // Drained and the ingest thread is not feeding: the shards are idle, so
+    // the live store is exactly the barrier-aligned store.
+    async_ckpt.Drain();
 
-      CheckpointState state;
-      ASSERT_TRUE(ckpt.RestoreLatest(&state).restored);
-      std::vector<uint64_t> live;
-      std::string scratch;
-      store.ForEachSession([&](const Session& s) {
-        live.push_back(SessionDigest(s, &scratch));
-      });
-      ASSERT_EQ(state.store_sessions.size(), live.size());
-      for (size_t i = 0; i < live.size(); ++i) {
-        EXPECT_EQ(SessionDigest(state.store_sessions[i], &scratch), live[i]);
-      }
+    CheckpointState state;
+    ASSERT_TRUE(ckpt.RestoreLatest(&state).restored);
+    std::vector<uint64_t> live;
+    std::string scratch;
+    store.ForEachSession([&](const Session& s) {
+      live.push_back(SessionDigest(s, &scratch));
+    });
+    ASSERT_EQ(state.store_sessions.size(), live.size());
+    for (size_t i = 0; i < live.size(); ++i) {
+      EXPECT_EQ(SessionDigest(state.store_sessions[i], &scratch), live[i]);
     }
   }
+  pipeline.FeedBlock(CopyToLineBlock(std::span(lines).subspan(fed)));
   async_ckpt.Drain();
   EXPECT_GT(store.stats().evicted, 0u);  // The scenario really evicted.
 }

@@ -617,11 +617,8 @@ TEST(DiskFaultDegradation, AsyncCheckpointerDegradesThenRecovers) {
   ac_options.write_retry_backoff_ms = 1;
   AsyncCheckpointer ac(&ckpt, &pipeline, &store, ac_options);
 
-  uint64_t fed = 0;
-  for (const auto& l : *lines) {
-    pipeline.FeedLine(l);
-    ++fed;
-  }
+  const uint64_t fed = lines->size();
+  pipeline.FeedBlock(CopyToLineBlock(*lines));
   pipeline.Flush();
 
   // Broken disk: both attempts fail, the snapshot is dropped, the episode is
@@ -738,9 +735,7 @@ InMemoryBaseline RunInMemory(const std::vector<std::string>& lines) {
     }
     store.Insert(std::move(s));
   });
-  for (const auto& l : lines) {
-    pipeline.FeedLine(l);
-  }
+  pipeline.FeedBlock(CopyToLineBlock(lines));
   pipeline.Finish();
   result.sessions = pipeline.sessions_closed();
   result.store_digest = ChainedStoreDigest(store, ids);
@@ -871,19 +866,16 @@ DiskScheduleResult RunDiskFaultSchedule(
     uint64_t fed = resume;
     uint64_t since_ckpt = 0;
     bool crashed = false;
-    std::vector<std::string> batch;
+    LineBlock block;
     while (!crashed) {
-      batch.clear();
-      const auto poll = client.PollLines(&batch, /*timeout_ms=*/200);
-      for (auto& line : batch) {
-        if (crash_this && fed == crash_at) {
-          crashed = true;  // SIGKILL: the rest of the batch never lands.
-          break;
-        }
-        pipeline.FeedLine(std::move(line));
-        ++fed;
-        ++since_ckpt;
+      const auto poll = client.PollBlock(&block, /*timeout_ms=*/200);
+      crashed = crash_this && crash_at - fed < block.lines.size();
+      if (crashed) {
+        block.lines.resize(crash_at - fed);  // SIGKILL: the rest never lands.
       }
+      fed += block.lines.size();
+      since_ckpt += block.lines.size();
+      pipeline.FeedBlock(std::move(block));
       if (crashed) {
         break;
       }

@@ -1,9 +1,12 @@
-// Crash/recovery conformance suite: the full live ingest path — LogServer
-// over real TCP -> SocketIngestSource -> LivePipeline (sharded) ->
-// SessionStore — run under hundreds of seeded fault schedules, asserting the
+// Crash/recovery conformance suite: the production ingest path — LogServer
+// over real TCP -> SocketIngestSource::PollBlock -> LivePipeline::FeedBlock
+// (sharded) -> SessionStore, inside a LiveService for the transport-fault
+// schedules — run under hundreds of seeded fault schedules, asserting the
 // closed-session multiset digest and the chained store-query digest are
 // byte-identical to a fault-free run, and that every archive record arrived
 // exactly once (client records_in == archive size: no loss, no duplicates).
+// The kill -9 schedules wire pipeline + store by hand, because they abandon
+// a live process mid-batch.
 //
 // Every schedule is a FaultPlan drawn from a seed; a failing run prints the
 // seed and both plan texts, which replay the exact schedule (see
@@ -33,9 +36,11 @@
 #include "src/log/wire_format.h"
 #include "src/net/log_server.h"
 #include "src/net/socket_ingest.h"
+#include "src/service/live_service.h"
 #include "src/store/cold_tier.h"
 #include "src/store/tiered_digest.h"
 #include "src/workload/generator.h"
+#include "tests/socket_drain.h"
 
 namespace ts {
 namespace {
@@ -135,9 +140,7 @@ RunResult RunInMemory(const std::vector<std::string>& lines,
     }
     store.Insert(std::move(s));
   });
-  for (const auto& l : lines) {
-    pipeline.FeedLine(l);
-  }
+  pipeline.FeedBlock(CopyToLineBlock(lines));
   pipeline.Finish();
 
   result.eos = true;
@@ -151,8 +154,9 @@ RunResult RunInMemory(const std::vector<std::string>& lines,
   return result;
 }
 
-// One conformance run: serve `lines` through a fault-injected LogServer,
-// consume through a fault-injected SocketIngestSource, sessionize, digest.
+// One conformance run: serve `lines` through a fault-injected LogServer into
+// a LiveService — the object ts_sessionize --serve runs — whose ingest client
+// carries the client-side injector, and digest what it stores.
 RunResult RunOverFaultyTransport(
     std::shared_ptr<const std::vector<std::string>> lines,
     const FaultPlan& client_plan, const FaultPlan& server_plan,
@@ -167,59 +171,37 @@ RunResult RunOverFaultyTransport(
   EXPECT_TRUE(server.Start());
   std::thread server_thread([&server] { server.Run(); });
 
-  SessionStore::Options store_options;
-  store_options.max_bytes = 1ull << 30;
-  SessionStore store(store_options);
   std::mutex mu;
   std::set<std::string> ids;
-
-  LivePipelineOptions pipeline_options;
-  pipeline_options.workers = 2;
-  pipeline_options.mine_templates = mine;
-  LivePipeline pipeline(pipeline_options, [&](Session&& s) {
+  LiveServiceOptions options;
+  options.pipeline.workers = 2;
+  options.pipeline.mine_templates = mine;
+  options.store.max_bytes = 1ull << 30;
+  options.ingest.port = server.port();
+  options.ingest.backoff_base_ms = 1;
+  options.ingest.backoff_max_ms = 20;
+  options.ingest.attempt_limit = 0;  // The plan decides when connects work.
+  options.ingest.fault_injector = &client_injector;
+  options.on_session = [&](const Session& s) {
     thread_local std::string scratch;
     const uint64_t d = SessionDigest(s, &scratch);
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      result.session_digest ^= d;
-      ids.insert(s.id);
-    }
-    store.Insert(std::move(s));
-  });
-
-  SocketIngestOptions client_options;
-  client_options.port = server.port();
-  client_options.backoff_base_ms = 1;
-  client_options.backoff_max_ms = 20;
-  client_options.attempt_limit = 0;  // The plan decides when connects work.
-  client_options.fault_injector = &client_injector;
-  SocketIngestSource client(client_options);
-
-  std::vector<std::string> batch;
-  while (true) {
-    batch.clear();
-    const auto poll = client.PollLines(&batch, /*timeout_ms=*/200);
-    for (auto& line : batch) {
-      pipeline.FeedLine(std::move(line));
-    }
-    pipeline.Flush();
-    if (poll == SocketIngestSource::Poll::kEndOfStream) {
-      result.eos = true;
-      break;
-    }
-    if (poll == SocketIngestSource::Poll::kFailed) {
-      break;
-    }
-  }
-  pipeline.Finish();
+    std::lock_guard<std::mutex> lock(mu);
+    result.session_digest ^= d;
+    ids.insert(s.id);
+  };
+  LiveService service(std::move(options));
+  EXPECT_TRUE(service.Start());
+  result.eos = service.Ingest();
+  service.Stop();
   server.Stop();
   server_thread.join();
 
-  result.records_in = client.stats().Snapshot().records_in;
-  result.reconnects = client.stats().Snapshot().reconnects;
+  const LivePipeline& pipeline = service.pipeline();
+  result.records_in = service.source().stats().Snapshot().records_in;
+  result.reconnects = service.source().stats().Snapshot().reconnects;
   result.parse_failures = pipeline.parse_failures();
   result.sessions = pipeline.sessions_closed();
-  result.store_digest = ChainedStoreDigest(store, ids);
+  result.store_digest = ChainedStoreDigest(*service.store(), ids);
   const auto dict = pipeline.TemplateSnapshot();
   result.templates = dict.size();
   result.template_digest = TemplateDictionaryDigest(dict);
@@ -389,7 +371,7 @@ class FaultBoundary : public ::testing::Test {
     client_options.backoff_base_ms = 1;
     client_options.backoff_max_ms = 20;
     SocketIngestSource client(client_options);
-    ASSERT_TRUE(client.ReadAll(received));
+    ASSERT_TRUE(DrainLines(client, received));
     server.Stop();
     server_thread.join();
 
@@ -552,19 +534,16 @@ CrashRunResult RunCrashSchedule(
     uint64_t fed = resume;   // Absolute position of the next record to feed.
     uint64_t since_ckpt = 0;
     bool crashed = false;
-    std::vector<std::string> batch;
+    LineBlock block;
     while (!crashed) {
-      batch.clear();
-      const auto poll = client.PollLines(&batch, /*timeout_ms=*/200);
-      for (auto& line : batch) {
-        if (crash_this && fed == crash_at) {
-          crashed = true;  // SIGKILL: the rest of the batch never lands.
-          break;
-        }
-        pipeline.FeedLine(std::move(line));
-        ++fed;
-        ++since_ckpt;
+      const auto poll = client.PollBlock(&block, /*timeout_ms=*/200);
+      crashed = crash_this && crash_at - fed < block.lines.size();
+      if (crashed) {
+        block.lines.resize(crash_at - fed);  // SIGKILL: the rest never lands.
       }
+      fed += block.lines.size();
+      since_ckpt += block.lines.size();
+      pipeline.FeedBlock(std::move(block));
       if (crashed) {
         break;
       }
@@ -978,19 +957,16 @@ ColdCrashRunResult RunColdCrashSchedule(
     uint64_t fed = resume;
     uint64_t since_ckpt = 0;
     bool crashed = false;
-    std::vector<std::string> batch;
+    LineBlock block;
     while (!crashed) {
-      batch.clear();
-      const auto poll = client.PollLines(&batch, /*timeout_ms=*/200);
-      for (auto& line : batch) {
-        if (crash_this && fed == crash_at) {
-          crashed = true;  // SIGKILL: the rest of the batch never lands.
-          break;
-        }
-        pipeline.FeedLine(std::move(line));
-        ++fed;
-        ++since_ckpt;
+      const auto poll = client.PollBlock(&block, /*timeout_ms=*/200);
+      crashed = crash_this && crash_at - fed < block.lines.size();
+      if (crashed) {
+        block.lines.resize(crash_at - fed);  // SIGKILL: the rest never lands.
       }
+      fed += block.lines.size();
+      since_ckpt += block.lines.size();
+      pipeline.FeedBlock(std::move(block));
       if (crashed) {
         break;
       }

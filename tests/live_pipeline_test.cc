@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -100,12 +102,10 @@ std::string RunPipeline(const std::vector<std::string>& lines, size_t workers,
   options.inactivity_ns = 2 * kSec;
   LivePipeline pipeline(options,
                         [&](Session&& s) { collected.Add(std::move(s)); });
-  size_t fed = 0;
-  for (const auto& l : lines) {
-    pipeline.FeedLine(l);
-    if (++fed % flush_every == 0) {
-      pipeline.Flush();
-    }
+  for (size_t fed = 0; fed < lines.size(); fed += flush_every) {
+    pipeline.FeedBlock(CopyToLineBlock(std::span(lines).subspan(
+        fed, std::min(flush_every, lines.size() - fed))));
+    pipeline.Flush();
   }
   pipeline.Finish();
   EXPECT_EQ(pipeline.records(), lines.size());
@@ -130,11 +130,14 @@ TEST(LivePipelineTest, BlankLinesAreSkippedNotFailures) {
   options.workers = 2;
   LivePipeline pipeline(options,
                         [&](Session&& s) { collected.Add(std::move(s)); });
-  pipeline.FeedLine(ToWireFormat(Rec("S", kSec)));
-  pipeline.FeedLine("");            // Blank.
-  pipeline.FeedLine("\r\n");        // Blank after stripping.
-  pipeline.FeedLine("not|a|record");  // Malformed: a real parse failure.
-  pipeline.FeedLine("corrupt");       // No separators at all.
+  const std::vector<std::string> lines = {
+      ToWireFormat(Rec("S", kSec)),
+      "",              // Blank.
+      "\r\n",          // Blank after stripping.
+      "not|a|record",  // Malformed: a real parse failure.
+      "corrupt",       // No separators at all.
+  };
+  pipeline.FeedBlock(CopyToLineBlock(lines));
   pipeline.Finish();
   EXPECT_EQ(pipeline.records(), 1u);
   EXPECT_EQ(pipeline.blank_lines(), 2u);
@@ -150,9 +153,7 @@ TEST(LivePipelineTest, FragmentRenumberingAcrossShards) {
   options.inactivity_ns = 2 * kSec;
   LivePipeline pipeline(options,
                         [&](Session&& s) { collected.Add(std::move(s)); });
-  for (const auto& l : lines) {
-    pipeline.FeedLine(l);
-  }
+  pipeline.FeedBlock(CopyToLineBlock(lines));
   pipeline.Finish();
 
   // Every session split at the round-3 idle gap: each id must have fragments
@@ -184,13 +185,14 @@ TEST(LivePipelineTest, BackpressureStallsIngestAndDeliversEverything) {
     delivered.fetch_add(1);
   });
   const size_t n = 256;
+  std::vector<std::string> lines;
   for (size_t i = 0; i < n; ++i) {
     // Distinct sessions far apart in time: every record closes the previous
     // session, so the slow sink throttles the whole shard.
-    pipeline.FeedLine(
-        ToWireFormat(Rec("S" + std::to_string(i),
-                         static_cast<EventTime>(i) * 10 * kSec)));
+    lines.push_back(ToWireFormat(
+        Rec("S" + std::to_string(i), static_cast<EventTime>(i) * 10 * kSec)));
   }
+  pipeline.FeedBlock(CopyToLineBlock(lines));
   pipeline.Finish();
   EXPECT_EQ(pipeline.records(), n);
   EXPECT_EQ(delivered.load(), n);
@@ -269,12 +271,10 @@ TEST(LivePipelineTest, StressConcurrentIngestAndMetricsReads) {
     }
   });
 
-  size_t fed = 0;
-  for (const auto& l : lines) {
-    pipeline.FeedLine(l);
-    if (++fed % 97 == 0) {
-      pipeline.Flush();
-    }
+  for (size_t fed = 0; fed < lines.size(); fed += 97) {
+    pipeline.FeedBlock(CopyToLineBlock(
+        std::span(lines).subspan(fed, std::min<size_t>(97, lines.size() - fed))));
+    pipeline.Flush();
   }
   pipeline.Finish();
   stop.store(true);
@@ -306,13 +306,15 @@ TEST(LivePipelineTest, OldestOpenShedBoundsStateAndReconcilesExactly) {
     sunk.fetch_add(s.records.size(), std::memory_order_relaxed);
   });
   const size_t kLines = 5000;
-  for (size_t i = 0; i < kLines; ++i) {
-    pipeline.FeedLine(ToWireFormat(
-        Rec("S" + std::to_string(i % 200),
-            static_cast<EventTime>(1 + i) * kNanosPerMilli)));
-    if (i % 64 == 0) {
-      pipeline.Flush();
+  for (size_t i = 0; i < kLines; i += 64) {
+    std::vector<std::string> lines;
+    for (size_t j = i; j < std::min(i + 64, kLines); ++j) {
+      lines.push_back(ToWireFormat(
+          Rec("S" + std::to_string(j % 200),
+              static_cast<EventTime>(1 + j) * kNanosPerMilli)));
     }
+    pipeline.FeedBlock(CopyToLineBlock(lines));
+    pipeline.Flush();
   }
   pipeline.Finish();
   EXPECT_GT(pipeline.shed_records(), 0u);
@@ -343,11 +345,13 @@ TEST(LivePipelineTest, HeadDropShedsLinesWithBoundedStall) {
   });
   const auto start = std::chrono::steady_clock::now();
   const size_t kLines = 1200;
+  std::vector<std::string> lines;
   for (size_t i = 0; i < kLines; ++i) {
-    pipeline.FeedLine(ToWireFormat(
+    lines.push_back(ToWireFormat(
         Rec("S" + std::to_string(i % 8),
             static_cast<EventTime>(1 + i) * 10 * kNanosPerMilli)));
   }
+  pipeline.FeedBlock(CopyToLineBlock(lines));
   pipeline.Finish();
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_GT(pipeline.shed_lines(), 0u);
@@ -369,7 +373,7 @@ TEST(LivePipelineTest, ShedMetricsRegisteredAndZeroWhenOff) {
   options.workers = 2;
   LivePipeline pipeline(options, [](Session&&) {});
   pipeline.RegisterMetrics(&registry);
-  pipeline.FeedLine(ToWireFormat(Rec("S", kSec)));
+  pipeline.FeedRecord(Rec("S", kSec));
   pipeline.Finish();
   const auto snapshot = registry.Snapshot();
   const auto get = [&](const std::string& name) -> int64_t {

@@ -59,9 +59,7 @@ uint64_t ReferenceDigest(const std::vector<std::string>& lines) {
   options.inactivity_ns = kInactivity;
   LivePipeline pipeline(options,
                         [&](Session&& s) { store.Insert(std::move(s)); });
-  for (const auto& l : lines) {
-    pipeline.FeedLine(l);
-  }
+  pipeline.FeedBlock(CopyToLineBlock(lines));
   pipeline.Finish();
   std::set<std::string> ids;
   store.ForEachSession([&](const Session& s) { ids.insert(s.id); });

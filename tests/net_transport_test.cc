@@ -1,20 +1,15 @@
 // ts_net end-to-end tests over real loopback sockets: byte-for-byte round
 // trips, stream partitioning, fragmentation under tiny buffers, mid-record
-// server kill with reconnect-and-resume, connect retry, and equivalence of
-// the socket ingest path with the in-memory arrival path through the
-// IngestDriver and a timely computation.
+// server kill with reconnect-and-resume, and connect retry.
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,10 +17,8 @@
 #include "src/log/wire_format.h"
 #include "src/net/log_server.h"
 #include "src/net/socket_ingest.h"
-#include "src/replay/ingest_driver.h"
-#include "src/replay/socket_source.h"
-#include "src/timely/timely.h"
 #include "src/workload/generator.h"
+#include "tests/socket_drain.h"
 
 namespace ts {
 namespace {
@@ -97,7 +90,7 @@ TEST(NetTransport, LoopbackRoundTripByteForByte) {
 
   SocketIngestSource client(ClientOptions(runner.port()));
   std::vector<std::string> received;
-  ASSERT_TRUE(client.ReadAll(&received));
+  ASSERT_TRUE(DrainLines(client, &received));
   runner.Stop();
 
   // The socket path must deliver the archive byte-for-byte: same records, in
@@ -133,7 +126,7 @@ TEST(NetTransport, ServesRoundRobinStreamPartitions) {
     copts.num_streams = kStreams;
     SocketIngestSource client(copts);
     std::vector<std::string> received;
-    ASSERT_TRUE(client.ReadAll(&received));
+    ASSERT_TRUE(DrainLines(client, &received));
     // Stream s must hold exactly the records at archive indices s, s+3, ...
     std::vector<std::string> expected;
     for (size_t i = s; i < archive->size(); i += kStreams) {
@@ -157,7 +150,7 @@ TEST(NetTransport, FragmentedDeliveryUnderTinyBuffers) {
   copts.read_chunk_bytes = 7;  // Nearly every record spans several reads.
   SocketIngestSource client(copts);
   std::vector<std::string> received;
-  ASSERT_TRUE(client.ReadAll(&received));
+  ASSERT_TRUE(DrainLines(client, &received));
   runner.Stop();
 
   EXPECT_EQ(received, *archive);
@@ -187,7 +180,7 @@ TEST(NetTransport, ServerKillMidStreamReconnectAndResume) {
   // (usually mid-record) with no #EOS in sight.
   std::vector<std::string> received;
   while (received.size() < 500) {
-    const auto poll = client.PollLines(&received, /*timeout_ms=*/200);
+    const auto poll = PollOwnedLines(client, &received, /*timeout_ms=*/200);
     ASSERT_NE(poll, SocketIngestSource::Poll::kEndOfStream);
     ASSERT_NE(poll, SocketIngestSource::Poll::kFailed);
   }
@@ -198,7 +191,7 @@ TEST(NetTransport, ServerKillMidStreamReconnectAndResume) {
   // drop, and start its backoff loop against a dead port before the
   // replacement server binds. (Records already in flight still count.)
   for (int i = 0; i < 3; ++i) {
-    const auto poll = client.PollLines(&received, /*timeout_ms=*/10);
+    const auto poll = PollOwnedLines(client, &received, /*timeout_ms=*/10);
     ASSERT_NE(poll, SocketIngestSource::Poll::kEndOfStream);
     ASSERT_NE(poll, SocketIngestSource::Poll::kFailed);
   }
@@ -208,7 +201,7 @@ TEST(NetTransport, ServerKillMidStreamReconnectAndResume) {
   retry.port = port;
   ServerRunner replacement(retry, archive);
   ASSERT_TRUE(replacement.Start());
-  ASSERT_TRUE(client.ReadAll(&received));
+  ASSERT_TRUE(DrainLines(client, &received));
   replacement.Stop();
 
   // Exactly-once delivery across the kill: the resume offset skips what the
@@ -233,7 +226,7 @@ TEST(NetTransport, ConnectRetriesUntilServerAppears) {
   std::vector<std::string> received;
   // A few polls against nothing: all idle, backing off.
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(client.PollLines(&received, 10), SocketIngestSource::Poll::kIdle);
+    EXPECT_EQ(PollOwnedLines(client, &received, 10), SocketIngestSource::Poll::kIdle);
   }
   EXPECT_TRUE(received.empty());
 
@@ -241,7 +234,7 @@ TEST(NetTransport, ConnectRetriesUntilServerAppears) {
   options.port = port;
   ServerRunner runner(options, archive);
   ASSERT_TRUE(runner.Start());
-  ASSERT_TRUE(client.ReadAll(&received));
+  ASSERT_TRUE(DrainLines(client, &received));
   EXPECT_EQ(received, *archive);
   EXPECT_EQ(client.stats().Snapshot().reconnects, 0u);  // Never connected before.
 }
@@ -256,7 +249,7 @@ TEST(NetTransport, FailsAfterAttemptLimit) {
   copts.attempt_limit = 3;
   SocketIngestSource client(copts);
   std::vector<std::string> received;
-  EXPECT_FALSE(client.ReadAll(&received));
+  EXPECT_FALSE(DrainLines(client, &received));
   EXPECT_TRUE(received.empty());
 }
 
@@ -321,77 +314,12 @@ TEST(NetTransport, DeterministicMidRecordCut) {
   auto copts = ClientOptions(port);
   SocketIngestSource client(copts);
   std::vector<std::string> received;
-  ASSERT_TRUE(client.ReadAll(&received));
+  ASSERT_TRUE(DrainLines(client, &received));
   server.join();
 
   EXPECT_EQ(resume_offset.load(), 2u);
   EXPECT_EQ(received, lines);  // Exactly once, despite the mid-record cut.
   EXPECT_EQ(client.stats().Snapshot().reconnects, 1u);
-}
-
-// Canonical record key for order-insensitive equivalence comparison.
-using RecordKey =
-    std::tuple<EventTime, std::string, std::string, uint32_t, uint32_t, int,
-               std::string>;
-
-RecordKey KeyOf(const LogRecord& r) {
-  return {r.time,    r.session_id,            r.txn_id.ToString(), r.service,
-          r.host,    static_cast<int>(r.kind), r.payload};
-}
-
-TEST(NetTransport, SocketIngestDriverMatchesInMemoryParse) {
-  auto archive = MakeArchive(2'000, 2);
-
-  LogServerOptions options;
-  ServerRunner runner(options, archive);
-  ASSERT_TRUE(runner.Start());
-
-  // The in-memory reference: parse the archive directly.
-  std::vector<RecordKey> expected;
-  for (const auto& line : *archive) {
-    auto parsed = ParseWireFormat(line);
-    ASSERT_TRUE(parsed.has_value());
-    expected.push_back(KeyOf(*parsed));
-  }
-
-  // The socket path: SocketArrivalSource -> IngestDriver -> dataflow input.
-  std::vector<RecordKey> fed;
-  std::mutex fed_mu;
-  const uint16_t port = runner.port();
-  Computation::Options copts;
-  copts.workers = 1;
-  Computation::Run(copts, [&](Scope& scope) {
-    auto [input, stream] = scope.NewInput<LogRecord>("logs");
-    auto sunk = scope.Unary<LogRecord, Unit>(
-        stream, Partition<LogRecord>::Pipeline(), "collect",
-        [&fed, &fed_mu](Epoch e, std::vector<LogRecord>& data,
-                        OutputSession<Unit>& out, NotificatorHandle&) {
-          std::lock_guard<std::mutex> lock(fed_mu);
-          for (const auto& r : data) {
-            fed.push_back(KeyOf(r));
-          }
-          out.Give(e, Unit{});
-          data.clear();
-        },
-        [](Epoch, OutputSession<Unit>&, NotificatorHandle&) {});
-    scope.Probe(sunk, "probe");
-
-    SocketArrivalSource::Options sopts;
-    sopts.socket = ClientOptions(port);
-    auto source = std::make_shared<SocketArrivalSource>(sopts);
-    IngestDriver::Options dopts;
-    dopts.slack_ns = 200 * kNanosPerMilli;
-    auto driver = std::make_shared<IngestDriver>(
-        source.get(), scope.worker_index(), input, dopts);
-    scope.AddDriver([driver, source]() { return driver->Step(); });
-  });
-  runner.Stop();
-
-  // The archive is event-time ordered, so nothing can be late-dropped; the
-  // socket path must feed exactly the records the in-memory parse yields.
-  std::sort(fed.begin(), fed.end());
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(fed, expected);
 }
 
 }  // namespace

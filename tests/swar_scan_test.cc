@@ -14,19 +14,22 @@
 //   3. LineFramer::FeedViews == LineFramer::Feed at EVERY split point of a
 //      wire byte stream (the LineFramerProperty pattern), including CRLF,
 //      oversized lines, and mid-line connection resets; and
-//      LivePipeline::FeedBlock == FeedLine on the same stream (identical
-//      session digests at 1/2/4 workers).
+//      LivePipeline::FeedBlock == ParseWireFormat + FeedRecord, the scalar
+//      reference, on the same stream (identical session digests, counters
+//      and mined dictionaries at 1/2/4 workers, across a connection reset).
 #include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/analytics/session_digest.h"
 #include "src/common/arena.h"
 #include "src/core/live_pipeline.h"
 #include "src/log/record_batch.h"
@@ -69,12 +72,13 @@ std::vector<std::string> HostileBuffers() {
   return corpus;
 }
 
-std::vector<std::string> WireCorpus() {
+std::vector<std::string> WireCorpus(bool free_text = false) {
   std::vector<std::string> lines;
   GeneratorConfig config;
   config.seed = 4242;
   config.duration_ns = 1 * kNanosPerSecond;
   config.target_records_per_sec = 500;
+  config.free_text_payloads = free_text;
   TraceGenerator gen(config);
   Epoch epoch = 0;
   std::vector<LogRecord> records;
@@ -339,59 +343,90 @@ TEST(LineFramerProperty, FeedViewsMatchesFeedOnHostileStream) {
   }
 }
 
-uint64_t DigestSessions(const std::vector<std::string>& lines,
-                        bool use_blocks, size_t workers) {
-  std::mutex mu;
+// What one feed path produced: the multiset of closed sessions (full
+// canonical bytes, so mined payload rewrites count), the record and failure
+// counters, and the learned template dictionary.
+struct FeedOutcome {
   uint64_t digest = 0;
   uint64_t sessions = 0;
+  uint64_t records = 0;
+  uint64_t parse_failures = 0;
+  std::string templates;  // "id hits text" lines, in id order.
+};
+
+// Feeds `lines` either through FeedBlock — in two blocks, the second flagged
+// connection_reset when `reset_mid_stream` — or through the independent
+// scalar reference, ParseWireFormat + FeedRecord, which shares no scan,
+// route-key or arena code with FeedBlock.
+FeedOutcome RunFeedPath(const std::vector<std::string>& lines,
+                        bool scalar_reference, size_t workers, bool mine,
+                        bool reset_mid_stream = false) {
+  FeedOutcome out;
+  std::mutex mu;
   LivePipelineOptions options;
   options.workers = workers;
+  options.mine_templates = mine;
   LivePipeline pipeline(options, [&](Session&& s) {
     thread_local std::string scratch;
-    scratch.clear();
-    // Cheap structural digest: id, fragment, record count, time span.
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-      h ^= v;
-      h *= 1099511628211ull;
-    };
-    for (const char c : s.id) {
-      mix(static_cast<unsigned char>(c));
-    }
-    mix(s.fragment_index);
-    mix(s.records.size());
-    for (const auto& r : s.records) {
-      mix(static_cast<uint64_t>(r.time));
-      mix(r.payload.size());
-    }
+    const uint64_t d = SessionDigest(s, &scratch);
     std::lock_guard<std::mutex> lock(mu);
-    digest ^= h;
-    ++sessions;
+    out.digest ^= d;
+    ++out.sessions;
   });
-  if (use_blocks) {
-    auto arena = std::make_shared<Arena>();
-    LineBlock block;
-    block.arena = arena;
+  if (scalar_reference) {
     for (const auto& l : lines) {
-      block.lines.push_back(arena->Copy(l));
+      auto parsed = ParseWireFormat(l);
+      EXPECT_TRUE(parsed.has_value()) << l;
+      if (parsed) {
+        pipeline.FeedRecord(std::move(*parsed));
+      }
     }
-    pipeline.FeedBlock(std::move(block));
   } else {
-    for (const auto& l : lines) {
-      pipeline.FeedLine(l);
-    }
+    const size_t half = lines.size() / 2;
+    LineBlock second = CopyToLineBlock(std::span(lines).subspan(half));
+    second.connection_reset = reset_mid_stream;
+    pipeline.FeedBlock(CopyToLineBlock({lines.data(), half}));
+    pipeline.FeedBlock(std::move(second));
   }
   pipeline.Finish();
-  EXPECT_GT(sessions, 0u);
-  return digest;
+  out.records = pipeline.records();
+  out.parse_failures = pipeline.parse_failures();
+  for (const auto& t : pipeline.TemplateSnapshot()) {
+    out.templates += std::to_string(t.id) + " " + std::to_string(t.hits) +
+                     " " + t.text + "\n";
+  }
+  return out;
 }
 
-TEST(LivePipelineParity, FeedBlockMatchesFeedLineAcrossWorkerCounts) {
-  const auto lines = WireCorpus();
-  for (size_t workers : {1, 2, 4}) {
-    const uint64_t via_lines = DigestSessions(lines, false, workers);
-    const uint64_t via_blocks = DigestSessions(lines, true, workers);
-    EXPECT_EQ(via_blocks, via_lines) << "workers=" << workers;
+void ExpectSameOutcome(const FeedOutcome& block, const FeedOutcome& ref,
+                       const std::string& label) {
+  EXPECT_GT(ref.sessions, 0u) << label;
+  EXPECT_EQ(block.sessions, ref.sessions) << label;
+  EXPECT_EQ(block.digest, ref.digest) << label;
+  EXPECT_EQ(block.records, ref.records) << label;
+  EXPECT_EQ(block.parse_failures, 0u) << label;
+  EXPECT_EQ(block.templates, ref.templates) << label;
+}
+
+TEST(LivePipelineParity, FeedBlockMatchesScalarReferenceAcrossWorkerCounts) {
+  // Free-text payloads, so the mined lanes learn a real dictionary.
+  const auto lines = WireCorpus(/*free_text=*/true);
+  for (const bool mine : {false, true}) {
+    for (const size_t workers : {1, 2, 4}) {
+      const std::string label = "workers=" + std::to_string(workers) +
+                                (mine ? " mined" : "");
+      const FeedOutcome ref = RunFeedPath(lines, true, workers, mine);
+      ExpectSameOutcome(RunFeedPath(lines, false, workers, mine), ref, label);
+      if (mine) {
+        EXPECT_FALSE(ref.templates.empty()) << label;
+      }
+    }
+    // A reconnect mid-stream resets the shards' per-connection interners;
+    // they are pure caches, so the output must not move.
+    ExpectSameOutcome(
+        RunFeedPath(lines, false, 2, mine, /*reset_mid_stream=*/true),
+        RunFeedPath(lines, true, 2, mine),
+        std::string("connection reset") + (mine ? " mined" : ""));
   }
 }
 

@@ -268,9 +268,7 @@ PipelineRun RunMinedPipeline(const std::vector<std::string>& lines,
     }
     store.Insert(std::move(s));
   });
-  for (const auto& l : lines) {
-    pipeline.FeedLine(l);
-  }
+  pipeline.FeedBlock(CopyToLineBlock(lines));
   pipeline.Finish();
   run.store_digest = ChainedStoreDigest(store, ids);
   run.sessions = store.stats().sessions;
@@ -338,9 +336,7 @@ TEST(TemplatePipeline, MiningShrinksStoreBytes) {
     options.mine_templates = mined == 1;
     LivePipeline pipeline(options,
                           [&](Session&& s) { store.Insert(std::move(s)); });
-    for (const auto& l : lines) {
-      pipeline.FeedLine(l);
-    }
+    pipeline.FeedBlock(CopyToLineBlock(lines));
     pipeline.Finish();
     bytes[mined] = store.stats().bytes;
     sessions[mined] = store.stats().sessions;
@@ -361,8 +357,8 @@ TEST(TemplatePipeline, ShortLinesPassThroughUnmined) {
   options.workers = 1;
   options.mine_templates = true;
   LivePipeline pipeline(options, [](Session&&) {});
-  pipeline.FeedLine("not|a|wire|record");
-  pipeline.FeedLine("");
+  const std::vector<std::string> lines = {"not|a|wire|record", ""};
+  pipeline.FeedBlock(CopyToLineBlock(lines));
   pipeline.Finish();
   EXPECT_EQ(pipeline.parse_failures(), 1u);
   EXPECT_EQ(pipeline.template_count(), 0u);

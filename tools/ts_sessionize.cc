@@ -368,6 +368,23 @@ int main(int argc, char** argv) {
   size_t record_count = 0;
   uint64_t parse_failures = 0;
   bool sessions_ready = false;  // Live path feeds `report` itself.
+  // One wire line into `records`, shared by the --connect and --in loops:
+  // blank lines are framing artifacts, skipped and never counted as parse
+  // failures.
+  const auto add_line = [&records, &parse_failures](std::string_view line) {
+    while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+      line.remove_suffix(1);
+    }
+    if (line.empty()) {
+      return;
+    }
+    auto parsed = ParseWireFormat(line);
+    if (parsed) {
+      records.push_back(std::move(*parsed));
+    } else {
+      ++parse_failures;
+    }
+  };
 
   if (connect_spec != nullptr) {
     bool transport_failed = false;
@@ -381,20 +398,18 @@ int main(int argc, char** argv) {
       parse_failures = service->parse_failures();
       sessions_ready = true;
     } else {
+      // Parse each block's views straight into records: no line is kept.
       offline_source = std::make_unique<SocketIngestSource>(options.ingest);
-      std::vector<std::string> lines;
-      transport_failed = !offline_source->ReadAll(&lines);
-      for (const auto& l : lines) {
-        if (l.empty()) {
-          continue;  // Blank lines are framing artifacts, not parse failures.
-        }
-        auto parsed = ParseWireFormat(l);
-        if (parsed) {
-          records.push_back(std::move(*parsed));
-        } else {
-          ++parse_failures;
+      LineBlock block;
+      auto poll = SocketIngestSource::Poll::kIdle;
+      while (poll != SocketIngestSource::Poll::kEndOfStream &&
+             poll != SocketIngestSource::Poll::kFailed) {
+        poll = offline_source->PollBlock(&block, /*timeout_ms=*/200);
+        for (std::string_view line : block.lines) {
+          add_line(line);
         }
       }
+      transport_failed = poll == SocketIngestSource::Poll::kFailed;
     }
     const SocketIngestSource& source =
         live ? service->source() : *offline_source;
@@ -419,18 +434,7 @@ int main(int argc, char** argv) {
     size_t capacity = 0;
     ssize_t len;
     while ((len = getline(&line, &capacity, in)) >= 0) {
-      while (len > 0 && (line[len - 1] == '\n' || line[len - 1] == '\r')) {
-        --len;
-      }
-      if (len == 0) {
-        continue;  // Blank lines skipped, same as the socket paths.
-      }
-      auto parsed = ParseWireFormat(std::string_view(line, static_cast<size_t>(len)));
-      if (parsed) {
-        records.push_back(std::move(*parsed));
-      } else {
-        ++parse_failures;
-      }
+      add_line(std::string_view(line, static_cast<size_t>(len)));
     }
     free(line);
     if (in != stdin) {
